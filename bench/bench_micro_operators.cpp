@@ -11,6 +11,7 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "dist/distributions.hpp"
 #include "geom/hilbert.hpp"
@@ -40,6 +41,19 @@ struct Fixture {
   }
 };
 
+/// Time per multipole term (the paper's Table-1 work unit): `terms` is the
+/// per-iteration count; google-benchmark prints the inverted rate in s.
+void set_time_per_term(benchmark::State& state, double terms) {
+  state.counters["s_per_term"] = benchmark::Counter(
+      terms, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+
+double terms_of_degree(int p) { return static_cast<double>((p + 1) * (p + 1)); }
+
+// P2M, M2P and the cache-cold basis apply cover DenseRange(4, 10), the
+// Theorem-3 degrees of the shell self-plan, so each degree's time per term
+// for the on-the-fly fill + apply sits next to the stored basis it competes
+// with; 2 and 16 bracket the range.
 void BM_P2M(benchmark::State& state) {
   const Fixture f;
   const int p = static_cast<int>(state.range(0));
@@ -49,8 +63,9 @@ void BM_P2M(benchmark::State& state) {
     benchmark::DoNotOptimize(m.data().data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long long>(f.pos.size()));
+  set_time_per_term(state, static_cast<double>(f.pos.size()) * terms_of_degree(p));
 }
-BENCHMARK(BM_P2M)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_P2M)->Arg(2)->DenseRange(4, 10)->Arg(16);
 
 void BM_M2P(benchmark::State& state) {
   const Fixture f;
@@ -61,8 +76,36 @@ void BM_M2P(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(m2p(m, f.center, point));
   }
+  set_time_per_term(state, terms_of_degree(p));
 }
-BENCHMARK(BM_M2P)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_M2P)->Arg(2)->DenseRange(4, 10)->Arg(16);
+
+/// m2p_apply_basis streaming a 64 MiB pool of stored bases in order, the
+/// access pattern of a compiled-plan replay: every basis comes from beyond
+/// the private caches, as it does when a plan's basis pool is hundreds of
+/// MB. Compare its time per term with BM_M2P at the same degree.
+void BM_M2P_ApplyBasisCold(benchmark::State& state) {
+  const Fixture f;
+  const int p = static_cast<int>(state.range(0));
+  MultipoleExpansion m(p);
+  p2m(f.center, f.pos, f.q, m);
+  const std::size_t bsize = m2p_basis_size(p);
+  const std::size_t count = (std::size_t{64} << 20) / (bsize * sizeof(double));
+  std::vector<double> pool(count * bsize);
+  std::mt19937_64 rng(2);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Vec3 point = f.center + 3.0 * normalized(Vec3{u(rng), u(rng), u(rng)});
+    m2p_basis(p, f.center, point, std::span<double>(pool).subspan(i * bsize, bsize));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m2p_apply_basis(m, pool.data() + i * bsize));
+    if (++i == count) i = 0;
+  }
+  set_time_per_term(state, terms_of_degree(p));
+}
+BENCHMARK(BM_M2P_ApplyBasisCold)->DenseRange(4, 10);
 
 void BM_M2P_Grad(benchmark::State& state) {
   const Fixture f;

@@ -90,10 +90,10 @@ struct EvalPlan {
   std::vector<std::uint64_t> basis_offset;
   /// Pooled m2p evaluation basis: for each covered M2P entry,
   /// m2p_basis_size(degree) doubles (1/r plus the Y_n^m harmonics of the
-  /// target direction — see m2p_basis() in multipole/operators.hpp). These
-  /// are the exact doubles the fresh kernel would recompute per apply, so
-  /// replaying them through m2p_apply_basis() is bitwise-identical while
-  /// skipping the transcendentals and recurrences — the dominant m2p cost.
+  /// target direction — see m2p_basis() in multipole/operators.hpp). m2p()
+  /// is the same fill followed by m2p_apply_basis(), so replaying these
+  /// doubles through m2p_apply_basis() is bitwise-identical while skipping
+  /// the harmonics fill.
   /// The trade is memory ~ O(plan entries * terms), bounded by the
   /// session's basis budget; entries past the budget fall back to m2p().
   std::vector<double> basis;

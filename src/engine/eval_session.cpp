@@ -461,8 +461,8 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
 
   // Precompute the charge-independent m2p evaluation basis (1/r and the
   // Y_n^m harmonics per entry). Replay then pays only the coefficient dot
-  // product — the transcendentals and recurrences, the bulk of the kernel,
-  // move into compile. Offsets are laid out serially (budget-gated, in
+  // product; the harmonics fill, the larger part of an m2p call, moves into
+  // compile. Offsets are laid out serially (budget-gated, in
   // schedule order); the fill itself is parallel over target blocks.
   // m2p_grad has no basis form, so gradient plans skip the whole pass.
   // The basis budget is clamped to the governor's remaining bytes, so a
@@ -1454,15 +1454,19 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
                             softening2, std::span<double>(p2p_out, width));
                   for (std::size_t w = 0; w < width; ++w) acc[w] += p2p_out[w];
                 } else {
-                  const std::int32_t j = m2p_slot[nu];
+                  const std::size_t j = static_cast<std::size_t>(m2p_slot[nu]);
                   const std::uint64_t off =
                       have_basis ? plan.basis_offset[idx] : EvalPlan::kNoBasis;
+                  // An uncovered entry fills its basis once into the
+                  // thread's workspace and applies it to every column:
+                  // m2p() is exactly that fill plus apply, so each column
+                  // stays bitwise equal to its single-RHS replay.
+                  const double* basis =
+                      off != EvalPlan::kNoBasis
+                          ? plan.basis.data() + off
+                          : m2p_basis_workspace(degrees_.degree[nu], node.center, x);
                   for (std::size_t w = 0; w < width; ++w) {
-                    const MultipoleExpansion& m =
-                        batch_m[static_cast<std::size_t>(j) * k + c0 + w];
-                    acc[w] += off != EvalPlan::kNoBasis
-                                  ? m2p_apply_basis(m, plan.basis.data() + off)
-                                  : m2p(m, node.center, x);
+                    acc[w] += m2p_apply_basis(batch_m[j * k + c0 + w], basis);
                   }
                   if (c0 == 0 && want_bounds) my_bound += plan.entry_bounds[idx];
                 }
