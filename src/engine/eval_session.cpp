@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/invariants.hpp"
@@ -93,6 +94,25 @@ Error engine_error(ErrorCode code, std::string message) {
 /// other code (bad input, NaN, deadline) propagates — no rung fixes those.
 bool memory_class(ErrorCode code) noexcept {
   return code == ErrorCode::kMemoryBudget || code == ErrorCode::kFaultInjected;
+}
+
+/// Widest column block one replay walk accumulates in registers.
+constexpr std::size_t kMaxWidth = 8;
+
+/// Run fn(j) for every j in [0, count): over the pool in blocks of 8 nodes
+/// when it has workers to spare, inline otherwise.
+template <typename Fn>
+void for_each_node(ThreadPool& pool, std::size_t count, const Fn& fn) {
+  if (pool.width() <= 1) {
+    for (std::size_t j = 0; j < count; ++j) fn(j);
+    return;
+  }
+  parallel_for(
+      pool, count, 8,
+      [&](std::size_t b, std::size_t e, unsigned) {
+        for (std::size_t j = b; j < e; ++j) fn(j);
+      },
+      nullptr, obs::span::kEngineRefreshWorker);
 }
 
 ErrorCode denial_code(const ResourceGovernor& governor) noexcept {
@@ -583,10 +603,6 @@ Expected<void> EvalSession::try_ensure_refreshed(const EvalPlan& plan) {
     if (node_epoch_[static_cast<std::size_t>(ni)] != charge_epoch_) stale_.push_back(ni);
   }
   if (stale_.empty()) return {};
-  const auto& nodes = tree_.nodes();
-  const auto& pos = tree_.positions();
-  const auto& q = sorted_charges_;
-
   // Governed batch reservation for first-build multipole coefficients —
   // session-durable storage (reused across every later refresh), reserved
   // once, serially, before the parallel rebuild so the decision is
@@ -609,139 +625,184 @@ Expected<void> EvalSession::try_ensure_refreshed(const EvalPlan& plan) {
     }
     multipole_reservation_.absorb(std::move(r));
   }
+  cover_p2m_basis(stale_);
 
-  // Cover newly-seen nodes with a p2m basis while the budget lasts: offsets
-  // assigned serially (the pool layout must not depend on thread timing),
-  // the basis itself filled inside the parallel refresh below. Geometry and
-  // degrees are frozen, so a node's basis is computed exactly once. A
-  // governor denial of the pool growth rolls the coverage back — the full
-  // p2m kernel produces identical coefficients, just slower.
-  std::vector<char> fill(stale_.size(), 0);
-  if (options_.precompute_basis && options_.refresh_basis_budget_bytes > 0) {
-    if (p2m_basis_offset_.empty()) {
-      p2m_basis_offset_.assign(nodes.size(), EvalPlan::kNoBasis);
-    }
-    const std::uint64_t budget_doubles =
-        options_.refresh_basis_budget_bytes / sizeof(double);
-    const std::uint64_t old_pool = p2m_basis_pool_.size();
-    std::uint64_t pool_size = old_pool;
-    for (std::size_t k = 0; k < stale_.size(); ++k) {
-      const auto nu = static_cast<std::size_t>(stale_[k]);
-      if (p2m_basis_offset_[nu] != EvalPlan::kNoBasis) continue;
-      const auto need = static_cast<std::uint64_t>(
-          p2m_basis_size(degrees_.degree[nu], nodes[nu].count()));
-      if (pool_size + need > budget_doubles) continue;
-      p2m_basis_offset_[nu] = pool_size;
-      pool_size += need;
-      fill[k] = 1;
-    }
-    if (pool_size > old_pool) {
-      const std::size_t growth_bytes =
-          static_cast<std::size_t>(pool_size - old_pool) * sizeof(double);
-      if (ResourceGovernor::Reservation growth =
-              governor_.reserve(growth_bytes, "engine.p2m_basis")) {
-        p2m_basis_pool_.resize(pool_size);
-        p2m_reservation_.absorb(std::move(growth));
-        obs::registry()
-            .gauge(obs::metric::kEngineRefreshBasisBytes)
-            .record_max(static_cast<double>(pool_size * sizeof(double)));
+  try {
+    for_each_node(pool_, stale_.size(), [&](std::size_t j) {
+      const auto nu = static_cast<std::size_t>(stale_[j]);
+      MultipoleExpansion& m = multipoles_[nu];
+      // First build allocates to the node's assigned degree; later refreshes
+      // reuse the storage (the degree table is frozen for the session).
+      if (node_epoch_[nu] == 0) {
+        m.reset(degrees_.degree[nu]);
       } else {
-        obs::registry().counter(obs::metric::kEngineP2mBasisDenied).add(1);
-        for (std::size_t k = 0; k < stale_.size(); ++k) {
-          if (fill[k] != 0) {
-            p2m_basis_offset_[static_cast<std::size_t>(stale_[k])] = EvalPlan::kNoBasis;
-            fill[k] = 0;
-          }
-        }
+        m.clear();
       }
-    }
-  }
-
-  auto refresh_node = [&](std::size_t k) {
-    const auto nu = static_cast<std::size_t>(stale_[k]);
-    const TreeNode& node = nodes[nu];
-    MultipoleExpansion& m = multipoles_[nu];
-    // First build allocates to the node's assigned degree; later refreshes
-    // reuse the storage (the degree table is frozen for the session).
-    if (node_epoch_[nu] == 0) {
-      m.reset(degrees_.degree[nu]);
-    } else {
-      m.clear();
-    }
-    const std::span<const Vec3> ppos(pos.data() + node.begin, node.count());
-    const std::span<const double> pq(q.data() + node.begin, node.count());
-    const std::uint64_t off =
-        p2m_basis_offset_.empty() ? EvalPlan::kNoBasis : p2m_basis_offset_[nu];
-    if (off != EvalPlan::kNoBasis) {
-      if (fill[k] != 0) {
-        p2m_basis(degrees_.degree[nu], node.center, ppos,
-                  std::span<double>(p2m_basis_pool_.data() + off,
-                                    p2m_basis_size(degrees_.degree[nu], node.count())));
-      }
-      p2m_apply_basis(pq, p2m_basis_pool_.data() + off, m);
-    } else {
-      p2m(node.center, ppos, pq, m);
-    }
-    node_epoch_[nu] = charge_epoch_;
-  };
-  if (pool_.width() > 1) try {
-    parallel_for(
-        pool_, stale_.size(), 8,
-        [&](std::size_t b, std::size_t e, unsigned) {
-          for (std::size_t k = b; k < e; ++k) refresh_node(k);
-        },
-        nullptr, obs::span::kEngineRefreshWorker);
+      p2m_node(nu, sorted_charges_.data(), m);
+      node_epoch_[nu] = charge_epoch_;
+    });
   } catch (const std::exception& e) {
     return engine_error(ErrorCode::kInternal,
                         std::string("EvalSession: refresh worker exception: ") +
                             e.what());
-  } else {
-    for (std::size_t k = 0; k < stale_.size(); ++k) refresh_node(k);
   }
   obs::registry().counter(obs::metric::kEngineNodesRefreshed).add(stale_.size());
   return {};
 }
 
-Expected<EvalResult> EvalSession::replay(const EvalPlan& plan) {
-  const std::size_t n = plan.num_targets();
-  EvalResult result;
-  result.stats = plan.stats;  // charge-independent schedule statistics
-  result.stats.build_seconds = 0.0;
-  result.stats.eval_seconds = 0.0;
-  result.stats.work = WorkStats{};
-  result.stats.served_rung =
-      plan.basis_offset.empty() ? ServeRung::kPlainReplay : ServeRung::kBasisReplay;
-  result.stats.outcome = ErrorCode::kOk;
-  result.stats.targets_served = static_cast<std::uint64_t>(n);
-  const std::size_t out_n = plan.self ? tree_.source_size() : n;
-  const bool want_grad = config_.compute_gradient;
-  const bool want_bounds = config_.track_error_bounds || config_.enforce_budget;
-  result.potential.assign(out_n, 0.0);
-  if (want_grad) result.gradient.assign(out_n, Vec3{});
-  if (want_bounds) result.error_bound.assign(out_n, 0.0);
-  if (n == 0 || tree_.num_particles() == 0) return result;
+void EvalSession::cover_p2m_basis(std::span<const std::int32_t> node_list) {
+  if (!options_.precompute_basis || options_.refresh_basis_budget_bytes == 0) return;
+  const auto& nodes = tree_.nodes();
+  const auto& pos = tree_.positions();
+  if (p2m_basis_offset_.empty()) {
+    p2m_basis_offset_.assign(nodes.size(), EvalPlan::kNoBasis);
+  }
+  // Offsets are assigned serially (the pool layout must not depend on
+  // thread timing) in list order. Geometry and degrees are frozen, so a
+  // node's basis is computed exactly once: whichever refresh reaches it
+  // first covers it, and every later single or batch refresh reuses it.
+  const std::uint64_t budget_doubles =
+      options_.refresh_basis_budget_bytes / sizeof(double);
+  const std::uint64_t old_pool = p2m_basis_pool_.size();
+  std::uint64_t pool_size = old_pool;
+  std::vector<std::int32_t> fresh;
+  for (const std::int32_t ni : node_list) {
+    const auto nu = static_cast<std::size_t>(ni);
+    if (p2m_basis_offset_[nu] != EvalPlan::kNoBasis) continue;
+    const auto need = static_cast<std::uint64_t>(
+        p2m_basis_size(degrees_.degree[nu], nodes[nu].count()));
+    if (pool_size + need > budget_doubles) continue;
+    p2m_basis_offset_[nu] = pool_size;
+    pool_size += need;
+    fresh.push_back(ni);
+  }
+  if (pool_size == old_pool) return;
+  auto uncover = [&] {
+    for (const std::int32_t ni : fresh) {
+      p2m_basis_offset_[static_cast<std::size_t>(ni)] = EvalPlan::kNoBasis;
+    }
+  };
+  const std::size_t growth_bytes =
+      static_cast<std::size_t>(pool_size - old_pool) * sizeof(double);
+  ResourceGovernor::Reservation growth =
+      governor_.reserve(growth_bytes, "engine.p2m_basis");
+  if (!growth) {
+    // The full p2m kernel produces identical coefficients, just slower.
+    obs::registry().counter(obs::metric::kEngineP2mBasisDenied).add(1);
+    uncover();
+    return;
+  }
+  try {
+    p2m_basis_pool_.resize(pool_size);
+    p2m_reservation_.absorb(std::move(growth));
+    for_each_node(pool_, fresh.size(), [&](std::size_t j) {
+      const auto nu = static_cast<std::size_t>(fresh[j]);
+      const TreeNode& node = nodes[nu];
+      const int deg = degrees_.degree[nu];
+      p2m_basis(deg, node.center,
+                std::span<const Vec3>(pos.data() + node.begin, node.count()),
+                std::span<double>(p2m_basis_pool_.data() + p2m_basis_offset_[nu],
+                                  p2m_basis_size(deg, node.count())));
+    });
+    obs::registry()
+        .gauge(obs::metric::kEngineRefreshBasisBytes)
+        .record_max(static_cast<double>(pool_size * sizeof(double)));
+  } catch (const std::exception&) {
+    // Allocation or worker failure: roll the coverage back so no node
+    // points at unfilled pool storage; the full p2m kernel serves instead.
+    uncover();
+  }
+}
 
-  {
-    const ScopedTimer refresh_timer(obs::span::kEngineRefresh, &result.stats.build_seconds);
+void EvalSession::p2m_node(std::size_t nu, const double* charges,
+                           MultipoleExpansion& m) const {
+  const TreeNode& node = tree_.nodes()[nu];
+  const std::span<const double> pq(charges + node.begin, node.count());
+  const std::uint64_t off =
+      p2m_basis_offset_.empty() ? EvalPlan::kNoBasis : p2m_basis_offset_[nu];
+  if (off != EvalPlan::kNoBasis) {
+    p2m_apply_basis(pq, p2m_basis_pool_.data() + off, m);
+  } else {
+    p2m(node.center,
+        std::span<const Vec3>(tree_.positions().data() + node.begin, node.count()), pq, m);
+  }
+}
+
+/// The per-column operands of one replay walk: column c of node nu reads
+/// its multipole at multipoles[slot(nu) * k + c] and its tree-sorted
+/// charges at charges + c * stride. A single-RHS replay is the k = 1 view
+/// of the session's own multipoles_ (slot = node index) and charges.
+struct EvalSession::ColumnView {
+  std::size_t k = 1;
+  const double* charges = nullptr;
+  std::size_t stride = 0;
+  const MultipoleExpansion* multipoles = nullptr;
+  const std::int32_t* slot = nullptr;  ///< node -> multipole slot; null = node index
+
+  [[nodiscard]] const MultipoleExpansion& multipole(std::size_t nu,
+                                                    std::size_t c) const noexcept {
+    const std::size_t j = slot != nullptr ? static_cast<std::size_t>(slot[nu]) : nu;
+    return multipoles[j * k + c];
+  }
+  [[nodiscard]] std::span<const double> node_charges(const TreeNode& node,
+                                                     std::size_t c) const noexcept {
+    return {charges + c * stride + node.begin, node.count()};
+  }
+};
+
+Expected<EvalResult> EvalSession::replay(const EvalPlan& plan) {
+  double refresh_seconds = 0.0;
+  if (plan.num_targets() > 0 && tree_.num_particles() > 0) {
+    const ScopedTimer refresh_timer(obs::span::kEngineRefresh, &refresh_seconds);
     Expected<void> refreshed = try_ensure_refreshed(plan);
     if (!refreshed.ok()) return refreshed.error();
   }
+  const ColumnView cols{.k = 1,
+                        .charges = sorted_charges_.data(),
+                        .stride = sorted_charges_.size(),
+                        .multipoles = multipoles_.data()};
+  Expected<std::vector<EvalResult>> served =
+      replay_columns(plan, cols, refresh_seconds, obs::metric::kEngineReplays);
+  if (!served.ok()) return served.error();
+  return std::move(served.value().front());
+}
+
+Expected<std::vector<EvalResult>> EvalSession::replay_columns(
+    const EvalPlan& plan, const ColumnView& cols, double refresh_seconds,
+    const char* replay_metric) {
+  const std::size_t n = plan.num_targets();
+  const std::size_t k = cols.k;
+  const std::size_t out_n = plan.self ? tree_.source_size() : n;
+  const bool have_basis = !plan.basis_offset.empty();
+  const ServeRung rung = have_basis ? ServeRung::kBasisReplay : ServeRung::kPlainReplay;
+  // Gradients and audits have no batched form, so only a k = 1 walk asks
+  // for them (try_evaluate_batch serves such configs column by column).
+  const bool want_grad = config_.compute_gradient;
+  const bool want_bounds = config_.track_error_bounds || config_.enforce_budget;
+  const bool auditing = config_.audit_samples > 0;
+  std::vector<EvalResult> results(k);
+  for (EvalResult& r : results) {
+    r.stats = plan.stats;  // charge-independent schedule statistics
+    r.stats.build_seconds = refresh_seconds;
+    r.stats.eval_seconds = 0.0;
+    r.stats.work = WorkStats{};
+    r.stats.served_rung = rung;
+    r.stats.outcome = ErrorCode::kOk;
+    r.stats.targets_served = static_cast<std::uint64_t>(n);
+    r.potential.assign(out_n, 0.0);
+    if (want_grad) r.gradient.assign(out_n, Vec3{});
+    if (want_bounds) r.error_bound.assign(out_n, 0.0);
+  }
+  if (n == 0 || tree_.num_particles() == 0) return results;
 
   const auto& nodes = tree_.nodes();
   const auto& pos = tree_.positions();
-  const auto& q = sorted_charges_;
   const double softening2 = config_.softening * config_.softening;
-  const bool have_basis = !plan.basis_offset.empty();
-  // Replay audits mirror the fresh traversal exactly: M2P entries appear in
-  // the plan in per-target DFS acceptance order, so the (target, ordinal)
-  // sampling keys — and therefore the audited interactions and their
-  // bitwise contributions — match a fresh evaluation over the same targets.
-  const bool auditing = config_.audit_samples > 0;
   const bool have_entry_bounds = !plan.entry_bounds.empty();
 
-  std::vector<double> phi(n, 0.0);
+  std::vector<double> phi(k * n, 0.0);  // phi[c * n + i]
   std::vector<Vec3> grad(want_grad ? n : 0, Vec3{});
-  std::vector<double> bound(want_bounds ? n : 0, 0.0);
+  std::vector<double> bound(want_bounds ? n : 0, 0.0);  // shared by every column
   std::vector<obs::audit::Reservoir> reservoirs(auditing ? pool_.width() : 0);
   for (auto& r : reservoirs) r.set_capacity(config_.audit_samples);
 
@@ -750,13 +811,116 @@ Expected<EvalResult> EvalSession::replay(const EvalPlan& plan) {
   // (blocks already running complete; unclaimed blocks are skipped).
   CancellationToken cancel;
   std::atomic<bool> deadline_hit{false};
+  // Packed (target * k + column) of the first non-finite potential seen.
   std::atomic<std::int64_t> nonfinite_at{-1};
   const bool deadline_active = governor_.deadline_armed();
   std::vector<char> done(deadline_active ? n : 0, 0);
 
+  // One walk of target i's entries for the column block [c0, c0 + width),
+  // width <= W: the plan entries, the m2p basis, and the leaf positions
+  // stream from memory once per block while each column's accumulator
+  // stays in a register. Per column the kernel calls, operands, and
+  // accumulation order are exactly those of a k = 1 walk, so each batch
+  // column is bitwise its single-RHS replay. An uncovered m2p entry fills
+  // its basis once into the thread's workspace and applies it to every
+  // column; m2p() is exactly that fill plus apply. Returns the offset of
+  // the block's first non-finite column, or -1.
+  auto walk = [&]<std::size_t W>(std::integral_constant<std::size_t, W>, std::size_t i,
+                                 std::size_t c0, unsigned t) -> int {
+    const std::size_t width = W == 1 ? 1 : std::min(W, k - c0);
+    const Vec3 x = plan.targets[i];
+    double acc[W] = {};
+    double my_bound = 0.0;
+    Vec3 my_grad{};
+    // Replay audits mirror the fresh traversal exactly: M2P entries appear
+    // in the plan in per-target DFS acceptance order, so the (target,
+    // ordinal) sampling keys — and therefore the audited interactions and
+    // their bitwise contributions — match a fresh evaluation.
+    std::uint64_t audit_ord = 0;
+    for (std::uint64_t idx = plan.offsets[i]; idx < plan.offsets[i + 1]; ++idx) {
+      const std::int32_t e = plan.entries[idx];
+      const auto nu = static_cast<std::size_t>(EvalPlan::node_of(e));
+      const TreeNode& node = nodes[nu];
+      if (EvalPlan::is_p2p(e)) {
+        const std::span<const Vec3> ppos(pos.data() + node.begin, node.count());
+        if constexpr (W == 1) {
+          if (want_grad) {
+            const PotentialGrad pg =
+                p2p_grad(x, ppos, cols.node_charges(node, c0), softening2);
+            acc[0] += pg.potential;
+            my_grad += pg.gradient;
+          } else {
+            acc[0] += p2p(x, ppos, cols.node_charges(node, c0), softening2);
+          }
+        } else {
+          std::span<const double> cq[W];
+          double p2p_out[W];
+          for (std::size_t w = 0; w < width; ++w) cq[w] = cols.node_charges(node, c0 + w);
+          p2p_batch(x, ppos, std::span<const std::span<const double>>(cq, width),
+                    softening2, std::span<double>(p2p_out, width));
+          for (std::size_t w = 0; w < width; ++w) acc[w] += p2p_out[w];
+        }
+        continue;
+      }
+      const MultipoleExpansion& m = cols.multipole(nu, c0);
+      double contribution;  // column c0's, for the audit sample
+      if (W == 1 && want_grad) {
+        const PotentialGrad pg = m2p_grad(m, node.center, x);
+        contribution = pg.potential;
+        my_grad += pg.gradient;
+        acc[0] += contribution;
+      } else {
+        const std::uint64_t off = have_basis ? plan.basis_offset[idx] : EvalPlan::kNoBasis;
+        const double* basis =
+            off != EvalPlan::kNoBasis
+                ? plan.basis.data() + off
+                : m2p_basis_workspace(degrees_.degree[nu], node.center, x);
+        contribution = m2p_apply_basis(m, basis);
+        acc[0] += contribution;
+        for (std::size_t w = 1; w < width; ++w) {
+          acc[w] += m2p_apply_basis(cols.multipole(nu, c0 + w), basis);
+        }
+      }
+      if (want_bounds && c0 == 0) my_bound += plan.entry_bounds[idx];
+      if (W == 1 && auditing) {
+        obs::audit::Sample s;
+        s.key = obs::audit::sample_key(config_.audit_seed, i, audit_ord);
+        s.target = i;
+        s.node = EvalPlan::node_of(e);
+        s.level = node.level;
+        s.degree = m.degree();
+        s.abs_charge = node.abs_charge;
+        s.approx = contribution;
+        // Plans compiled without bound tracking carry no per-entry bounds;
+        // recompute Theorem 1 with the same arguments the fresh traversal
+        // uses so audits stay bitwise comparable.
+        const double r_audit = distance(x, node.center);
+        s.bound = have_entry_bounds
+                      ? plan.entry_bounds[idx]
+                      : multipole_error_bound(node.abs_charge, node.radius, r_audit,
+                                              degrees_.degree[nu]);
+        s.noise_scale =
+            r_audit > node.radius ? node.abs_charge / (r_audit - node.radius) : 0.0;
+        reservoirs[t].offer(s);
+      }
+      ++audit_ord;
+    }
+    for (std::size_t w = 0; w < width; ++w) {
+      if (!std::isfinite(acc[w])) return static_cast<int>(w);
+      phi[(c0 + w) * n + i] = acc[w];
+    }
+    if (c0 == 0) {
+      if (want_bounds) bound[i] = my_bound;
+      if (want_grad) grad[i] = my_grad;
+    }
+    return -1;
+  };
+
+  WorkStats work;
+  double eval_seconds = 0.0;
   try {
-    const ScopedTimer phase_timer(obs::span::kEngineReplay, &result.stats.eval_seconds);
-    result.stats.work = parallel_for_blocked(
+    const ScopedTimer phase_timer(obs::span::kEngineReplay, &eval_seconds);
+    work = parallel_for_blocked(
         pool_, n, config_.block_size,
         [&](std::size_t block_begin, std::size_t block_end, unsigned t) -> std::uint64_t {
           if (deadline_active && governor_.deadline_expired()) {
@@ -771,84 +935,24 @@ Expected<EvalResult> EvalSession::replay(const EvalPlan& plan) {
           }
           std::uint64_t cost = 0;
           for (std::size_t i = block_begin; i < block_end; ++i) {
-            const Vec3 x = plan.targets[i];
-            double my_phi = 0.0;
-            double my_bound = 0.0;
-            Vec3 my_grad{};
-            std::uint64_t audit_ord = 0;
-            const std::uint64_t begin = plan.offsets[i];
-            const std::uint64_t end = plan.offsets[i + 1];
-            for (std::uint64_t idx = begin; idx < end; ++idx) {
-              const std::int32_t e = plan.entries[idx];
-              const auto nu = static_cast<std::size_t>(EvalPlan::node_of(e));
-              const TreeNode& node = nodes[nu];
-              if (EvalPlan::is_p2p(e)) {
-                const std::span<const Vec3> ppos(pos.data() + node.begin, node.count());
-                const std::span<const double> pq(q.data() + node.begin, node.count());
-                if (want_grad) {
-                  const PotentialGrad pg = p2p_grad(x, ppos, pq, softening2);
-                  my_phi += pg.potential;
-                  my_grad += pg.gradient;
-                } else {
-                  my_phi += p2p(x, ppos, pq, softening2);
-                }
-              } else {
-                const MultipoleExpansion& m = multipoles_[nu];
-                double contribution;
-                if (want_grad) {
-                  const PotentialGrad pg = m2p_grad(m, node.center, x);
-                  contribution = pg.potential;
-                  my_grad += pg.gradient;
-                } else {
-                  const std::uint64_t off =
-                      have_basis ? plan.basis_offset[idx] : EvalPlan::kNoBasis;
-                  contribution = off != EvalPlan::kNoBasis
-                                     ? m2p_apply_basis(m, plan.basis.data() + off)
-                                     : m2p(m, node.center, x);
-                }
-                my_phi += contribution;
-                if (want_bounds) my_bound += plan.entry_bounds[idx];
-                if (auditing) {
-                  obs::audit::Sample s;
-                  s.key = obs::audit::sample_key(config_.audit_seed, i, audit_ord);
-                  s.target = i;
-                  s.node = EvalPlan::node_of(e);
-                  s.level = node.level;
-                  s.degree = m.degree();
-                  s.abs_charge = node.abs_charge;
-                  s.approx = contribution;
-                  // Plans compiled without bound tracking carry no per-entry
-                  // bounds; recompute Theorem 1 with the same arguments the
-                  // fresh traversal uses so audits stay bitwise comparable.
-                  const double r_audit = distance(x, node.center);
-                  s.bound = have_entry_bounds
-                                ? plan.entry_bounds[idx]
-                                : multipole_error_bound(node.abs_charge, node.radius,
-                                                        r_audit, degrees_.degree[nu]);
-                  s.noise_scale = r_audit > node.radius
-                                      ? node.abs_charge / (r_audit - node.radius)
-                                      : 0.0;
-                  reservoirs[t].offer(s);
-                }
-                ++audit_ord;
+            for (std::size_t c0 = 0; c0 < k; c0 += kMaxWidth) {
+              const int bad =
+                  k == 1 ? walk(std::integral_constant<std::size_t, 1>{}, i, c0, t)
+                         : walk(std::integral_constant<std::size_t, kMaxWidth>{}, i, c0, t);
+              if (bad >= 0) {
+                obs::recorder::record(obs::recorder::Category::kNonFinite,
+                                      "engine.nonfinite_potential",
+                                      static_cast<double>(i));
+                std::int64_t expected_idx = -1;
+                nonfinite_at.compare_exchange_strong(
+                    expected_idx, static_cast<std::int64_t>(i * k + c0) + bad,
+                    std::memory_order_relaxed);
+                cancel.cancel();
+                return cost;
               }
             }
-            if (!std::isfinite(my_phi)) {
-              obs::recorder::record(obs::recorder::Category::kNonFinite,
-                                    "engine.nonfinite_potential",
-                                    static_cast<double>(i));
-              std::int64_t expected_idx = -1;
-              nonfinite_at.compare_exchange_strong(expected_idx,
-                                                   static_cast<std::int64_t>(i),
-                                                   std::memory_order_relaxed);
-              cancel.cancel();
-              return cost;
-            }
-            phi[i] = my_phi;
-            if (want_grad) grad[i] = my_grad;
-            if (want_bounds) bound[i] = my_bound;
             if (deadline_active) done[i] = 1;
-            cost += plan.target_cost[i];
+            cost += plan.target_cost[i] * k;
           }
           return cost;
         },
@@ -859,77 +963,82 @@ Expected<EvalResult> EvalSession::replay(const EvalPlan& plan) {
                             e.what());
   }
 
-  const std::int64_t bad_target = nonfinite_at.load(std::memory_order_relaxed);
-  if (bad_target >= 0) {
+  const std::int64_t bad = nonfinite_at.load(std::memory_order_relaxed);
+  if (bad >= 0) {
+    const auto kk = static_cast<std::int64_t>(k);
     return engine_error(ErrorCode::kNonFinite,
                         "EvalSession: non-finite potential at evaluation point " +
-                            std::to_string(bad_target));
+                            std::to_string(bad / kk) +
+                            (k > 1 ? " in batch column " + std::to_string(bad % kk)
+                                   : std::string()));
   }
+  std::uint64_t served = static_cast<std::uint64_t>(n);
   if (deadline_hit.load(std::memory_order_relaxed)) {
     obs::registry().counter(obs::metric::kEngineDeadlineExpirations).add(1);
     if (!config_.deadline_partial) {
       return engine_error(ErrorCode::kDeadline,
                           "EvalSession: deadline expired during replay");
     }
-    result.stats.outcome = ErrorCode::kDeadline;
-    std::uint64_t served = 0;
+    served = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (done[i] != 0) {
         ++served;
       } else {
-        phi[i] = 0.0;
+        for (std::size_t c = 0; c < k; ++c) phi[c * n + i] = 0.0;
         if (want_grad) grad[i] = Vec3{};
         if (want_bounds) bound[i] = 0.0;
       }
     }
-    result.stats.targets_served = served;
   }
 
+  obs::audit::Summary audit;
   if (auditing) {
     const std::vector<obs::audit::Sample> winners =
         obs::audit::merge(reservoirs, config_.audit_samples);
-    const obs::audit::Summary summary = obs::audit::finalize(
-        winners, [&](const obs::audit::Sample& s) {
-          const TreeNode& node = nodes[static_cast<std::size_t>(s.node)];
-          return p2p(plan.targets[s.target],
-                     std::span<const Vec3>(pos.data() + node.begin, node.count()),
-                     std::span<const double>(q.data() + node.begin, node.count()),
-                     /*softening2=*/0.0);
-        });
-    result.stats.audit_samples = summary.samples;
-    result.stats.audit_bound_violations = summary.bound_violations;
-    result.stats.audit_max_tightness = summary.max_tightness;
-    result.stats.audit_mean_tightness = summary.mean_tightness;
+    audit = obs::audit::finalize(winners, [&](const obs::audit::Sample& s) {
+      const TreeNode& node = nodes[static_cast<std::size_t>(s.node)];
+      return p2p(plan.targets[s.target],
+                 std::span<const Vec3>(pos.data() + node.begin, node.count()),
+                 cols.node_charges(node, 0), /*softening2=*/0.0);
+    });
   }
 
+  // The replay and rung counters count the call; the work counters and
+  // histograms count each column like one single-RHS replay.
   obs::Registry& reg = obs::registry();
-  reg.counter(obs::metric::kEngineReplays).add(1);
-  reg.counter(result.stats.served_rung == ServeRung::kBasisReplay
-                  ? obs::metric::kEngineServeBasisReplay
-                  : obs::metric::kEngineServePlainReplay)
+  reg.counter(replay_metric).add(1);
+  reg.counter(rung == ServeRung::kBasisReplay ? obs::metric::kEngineServeBasisReplay
+                                              : obs::metric::kEngineServePlainReplay)
       .add(1);
-  reg.counter(obs::metric::kEngineMultipoleTerms).add(result.stats.multipole_terms);
-  reg.counter(obs::metric::kEngineM2pCount).add(result.stats.m2p_count);
-  reg.counter(obs::metric::kEngineP2pPairs).add(result.stats.p2p_pairs);
-  obs::flush_counts(obs::metric::kEngineM2pPerLevel, plan.m2p_by_level);
-  obs::flush_counts(obs::metric::kEngineP2pPerLevel, plan.p2p_by_level);
-  obs::flush_counts(obs::metric::kEngineDegreeUsed, plan.degree_used);
+  reg.counter(obs::metric::kEngineMultipoleTerms).add(plan.stats.multipole_terms * k);
+  reg.counter(obs::metric::kEngineM2pCount).add(plan.stats.m2p_count * k);
+  reg.counter(obs::metric::kEngineP2pPairs).add(plan.stats.p2p_pairs * k);
+  obs::flush_counts(obs::metric::kEngineM2pPerLevel, plan.m2p_by_level, k);
+  obs::flush_counts(obs::metric::kEngineP2pPerLevel, plan.p2p_by_level, k);
+  obs::flush_counts(obs::metric::kEngineDegreeUsed, plan.degree_used, k);
 
-  if (plan.self) {
-    const auto& orig = tree_.original_index();
+  const auto& orig = tree_.original_index();
+  for (std::size_t c = 0; c < k; ++c) {
+    EvalResult& r = results[c];
+    r.stats.eval_seconds = eval_seconds;
+    r.stats.work = work;
+    r.stats.targets_served = served;
+    if (served != static_cast<std::uint64_t>(n)) r.stats.outcome = ErrorCode::kDeadline;
+    r.stats.audit_samples = audit.samples;
+    r.stats.audit_bound_violations = audit.bound_violations;
+    r.stats.audit_max_tightness = audit.max_tightness;
+    r.stats.audit_mean_tightness = audit.mean_tightness;
+    const double* row = phi.data() + c * n;
     for (std::size_t i = 0; i < n; ++i) {
-      result.potential[orig[i]] = phi[i];
-      if (want_grad) result.gradient[orig[i]] = grad[i];
-      if (want_bounds) result.error_bound[orig[i]] = bound[i];
+      const std::size_t o = plan.self ? orig[i] : i;
+      r.potential[o] = row[i];
+      if (want_grad) r.gradient[o] = grad[i];
+      if (want_bounds) r.error_bound[o] = bound[i];
     }
-  } else {
-    result.potential = std::move(phi);
-    if (want_grad) result.gradient = std::move(grad);
-    if (want_bounds) result.error_bound = std::move(bound);
+    TREECODE_ASSERT_EVAL_INVARIANTS(tree_, degrees_, config_, r, out_n,
+                                    "EvalSession::replay");
   }
-  TREECODE_ASSERT_EVAL_INVARIANTS(tree_, degrees_, config_, result, out_n,
-                                  "EvalSession::evaluate");
-  return result;
+  return results;
 }
 
 std::size_t EvalSession::traversal_reserve_bytes() {
@@ -1162,78 +1271,6 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch(
   return served;
 }
 
-void EvalSession::cover_p2m_basis(const EvalPlan& plan) {
-  if (!options_.precompute_basis || options_.refresh_basis_budget_bytes == 0) return;
-  const auto& nodes = tree_.nodes();
-  const auto& pos = tree_.positions();
-  if (p2m_basis_offset_.empty()) {
-    p2m_basis_offset_.assign(nodes.size(), EvalPlan::kNoBasis);
-  }
-  // Offsets assigned serially (the pool layout must not depend on thread
-  // timing), exactly like try_ensure_refreshed — the two paths share the
-  // pool, the budget rule, and the per-node layout, so whichever runs first
-  // covers a node and the other reuses it.
-  const std::uint64_t budget_doubles =
-      options_.refresh_basis_budget_bytes / sizeof(double);
-  const std::uint64_t old_pool = p2m_basis_pool_.size();
-  std::uint64_t pool_size = old_pool;
-  std::vector<std::int32_t> fresh;
-  for (const std::int32_t ni : plan.m2p_nodes) {
-    const auto nu = static_cast<std::size_t>(ni);
-    if (p2m_basis_offset_[nu] != EvalPlan::kNoBasis) continue;
-    const auto need = static_cast<std::uint64_t>(
-        p2m_basis_size(degrees_.degree[nu], nodes[nu].count()));
-    if (pool_size + need > budget_doubles) continue;
-    p2m_basis_offset_[nu] = pool_size;
-    pool_size += need;
-    fresh.push_back(ni);
-  }
-  if (pool_size == old_pool) return;
-  const std::size_t growth_bytes =
-      static_cast<std::size_t>(pool_size - old_pool) * sizeof(double);
-  ResourceGovernor::Reservation growth =
-      governor_.reserve(growth_bytes, "engine.p2m_basis");
-  if (!growth) {
-    obs::registry().counter(obs::metric::kEngineP2mBasisDenied).add(1);
-    for (const std::int32_t ni : fresh) {
-      p2m_basis_offset_[static_cast<std::size_t>(ni)] = EvalPlan::kNoBasis;
-    }
-    return;
-  }
-  auto fill_node = [&](std::size_t j) {
-    const auto nu = static_cast<std::size_t>(fresh[j]);
-    const TreeNode& node = nodes[nu];
-    const int deg = degrees_.degree[nu];
-    p2m_basis(deg, node.center,
-              std::span<const Vec3>(pos.data() + node.begin, node.count()),
-              std::span<double>(p2m_basis_pool_.data() + p2m_basis_offset_[nu],
-                                p2m_basis_size(deg, node.count())));
-  };
-  try {
-    p2m_basis_pool_.resize(pool_size);
-    p2m_reservation_.absorb(std::move(growth));
-    if (pool_.width() > 1) {
-      parallel_for(
-          pool_, fresh.size(), 8,
-          [&](std::size_t b, std::size_t e, unsigned) {
-            for (std::size_t j = b; j < e; ++j) fill_node(j);
-          },
-          nullptr, obs::span::kEngineRefreshWorker);
-    } else {
-      for (std::size_t j = 0; j < fresh.size(); ++j) fill_node(j);
-    }
-    obs::registry()
-        .gauge(obs::metric::kEngineRefreshBasisBytes)
-        .record_max(static_cast<double>(pool_size * sizeof(double)));
-  } catch (const std::exception&) {
-    // Allocation or worker failure: roll the coverage back so no node
-    // points at unfilled pool storage; the full p2m kernel serves instead.
-    for (const std::int32_t ni : fresh) {
-      p2m_basis_offset_[static_cast<std::size_t>(ni)] = EvalPlan::kNoBasis;
-    }
-  }
-}
-
 Expected<std::vector<EvalResult>> EvalSession::evaluate_batch_sequential(
     const EvalPlan& plan, std::span<const std::span<const double>> charge_columns) {
   obs::registry().counter(obs::metric::kEngineBatchFallbacks).add(1);
@@ -1284,55 +1321,36 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
     return evaluate_batch_sequential(plan, charge_columns);
   }
 
-  const std::size_t n = plan.num_targets();
   const std::size_t np = tree_.num_particles();
-  const std::size_t out_n = plan.self ? tree_.source_size() : n;
-  const bool want_bounds = config_.track_error_bounds || config_.enforce_budget;
-  const bool have_basis = !plan.basis_offset.empty();
-  const ServeRung rung =
-      have_basis ? ServeRung::kBasisReplay : ServeRung::kPlainReplay;
-
-  std::vector<EvalResult> results(k);
-  for (EvalResult& r : results) {
-    r.stats = plan.stats;
-    r.stats.build_seconds = 0.0;
-    r.stats.eval_seconds = 0.0;
-    r.stats.work = WorkStats{};
-    r.stats.served_rung = rung;
-    r.stats.outcome = ErrorCode::kOk;
-    r.stats.targets_served = static_cast<std::uint64_t>(n);
-    r.potential.assign(out_n, 0.0);
-    if (want_bounds) r.error_bound.assign(out_n, 0.0);
-  }
-  if (n == 0 || np == 0) return results;
-
-  // Governed batch workspace: k per-column copies of every plan-referenced
-  // multipole, the k sorted charge columns, and the k potential rows.
-  // Reserved before any allocation; a denial falls back to the sequential
-  // path rather than failing the batch.
-  std::size_t coeff_bytes = 0;
   const auto& nodes = tree_.nodes();
-  for (const std::int32_t ni : plan.m2p_nodes) {
-    coeff_bytes +=
-        tri_size(degrees_.degree[static_cast<std::size_t>(ni)]) * sizeof(Complex);
-  }
-  const std::size_t workspace_bytes =
-      coeff_bytes * k + k * np * sizeof(double) + k * n * sizeof(double);
-  ResourceGovernor::Reservation workspace =
-      governor_.reserve(workspace_bytes, "engine.batch");
-  if (!workspace) {
-    reg.counter(obs::metric::kEngineBatchDenied).add(1);
-    return evaluate_batch_sequential(plan, charge_columns);
-  }
-
+  const std::size_t num_m2p = plan.m2p_nodes.size();
+  ResourceGovernor::Reservation workspace;
+  std::vector<double> sorted;
+  std::vector<MultipoleExpansion> batch_m;
+  std::vector<std::int32_t> m2p_slot;
   double refresh_seconds = 0.0;
-  double eval_seconds = 0.0;
+  if (plan.num_targets() > 0 && np > 0) {
+    // Governed batch workspace: k per-column copies of every plan-referenced
+    // multipole, the k sorted charge columns, and the k potential rows.
+    // Reserved before any allocation; a denial falls back to the sequential
+    // path rather than failing the batch.
+    std::size_t coeff_bytes = 0;
+    for (const std::int32_t ni : plan.m2p_nodes) {
+      coeff_bytes +=
+          tri_size(degrees_.degree[static_cast<std::size_t>(ni)]) * sizeof(Complex);
+    }
+    workspace = governor_.reserve(
+        coeff_bytes * k + k * np * sizeof(double) + k * plan.num_targets() * sizeof(double),
+        "engine.batch");
+    if (!workspace) {
+      reg.counter(obs::metric::kEngineBatchDenied).add(1);
+      return evaluate_batch_sequential(plan, charge_columns);
+    }
 
-  // Gather each column into tree-sorted order — the identical permutation
-  // try_update_charges performs (a pure copy, no arithmetic).
-  std::vector<double> sorted(k * np);
-  {
     const ScopedTimer refresh_timer(obs::span::kEngineRefresh, &refresh_seconds);
+    // Gather each column into tree-sorted order — the identical permutation
+    // try_update_charges performs (a pure copy, no arithmetic).
+    sorted.resize(k * np);
     const auto& orig = tree_.original_index();
     for (std::size_t c = 0; c < k; ++c) {
       double* col = sorted.data() + c * np;
@@ -1344,221 +1362,35 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
     // the column's charges exactly as the single-RHS refresh would: reset to
     // the node's frozen degree, then p2m through the shared basis pool when
     // covered (bitwise-equal to the full kernel) or the full p2m otherwise.
-    cover_p2m_basis(plan);
-  }
-
-  const std::size_t num_m2p = plan.m2p_nodes.size();
-  std::vector<MultipoleExpansion> batch_m(num_m2p * k);
-  const auto& pos = tree_.positions();
-  auto build_node = [&](std::size_t j) {
-    const auto nu = static_cast<std::size_t>(plan.m2p_nodes[j]);
-    const TreeNode& node = nodes[nu];
-    const int deg = degrees_.degree[nu];
-    const std::span<const Vec3> ppos(pos.data() + node.begin, node.count());
-    const std::uint64_t off =
-        p2m_basis_offset_.empty() ? EvalPlan::kNoBasis : p2m_basis_offset_[nu];
-    for (std::size_t c = 0; c < k; ++c) {
-      MultipoleExpansion& m = batch_m[j * k + c];
-      m.reset(deg);
-      const std::span<const double> pq(sorted.data() + c * np + node.begin,
-                                       node.count());
-      if (off != EvalPlan::kNoBasis) {
-        p2m_apply_basis(pq, p2m_basis_pool_.data() + off, m);
-      } else {
-        p2m(node.center, ppos, pq, m);
-      }
+    // A covered node's basis is read once for all k columns.
+    cover_p2m_basis(plan.m2p_nodes);
+    batch_m.resize(num_m2p * k);
+    try {
+      for_each_node(pool_, num_m2p, [&](std::size_t j) {
+        const auto nu = static_cast<std::size_t>(plan.m2p_nodes[j]);
+        for (std::size_t c = 0; c < k; ++c) {
+          MultipoleExpansion& m = batch_m[j * k + c];
+          m.reset(degrees_.degree[nu]);
+          p2m_node(nu, sorted.data() + c * np, m);
+        }
+      });
+    } catch (const std::exception& e) {
+      return engine_error(ErrorCode::kInternal,
+                          std::string("EvalSession: batch refresh worker exception: ") +
+                              e.what());
     }
-  };
-  try {
-    const ScopedTimer refresh_timer(obs::span::kEngineRefresh, &refresh_seconds);
-    if (pool_.width() > 1) {
-      parallel_for(
-          pool_, num_m2p, 8,
-          [&](std::size_t b, std::size_t e, unsigned) {
-            for (std::size_t j = b; j < e; ++j) build_node(j);
-          },
-          nullptr, obs::span::kEngineRefreshWorker);
-    } else {
-      for (std::size_t j = 0; j < num_m2p; ++j) build_node(j);
-    }
-  } catch (const std::exception& e) {
-    return engine_error(ErrorCode::kInternal,
-                        std::string("EvalSession: batch refresh worker exception: ") +
-                            e.what());
-  }
-  // Node index -> batch slot for the walk below.
-  std::vector<std::int32_t> m2p_slot(nodes.size(), -1);
-  for (std::size_t j = 0; j < num_m2p; ++j) {
-    m2p_slot[static_cast<std::size_t>(plan.m2p_nodes[j])] =
-        static_cast<std::int32_t>(j);
-  }
-
-  const double softening2 = config_.softening * config_.softening;
-  constexpr std::size_t kMaxWidth = 8;  // SoA column block held in registers
-
-  std::vector<double> phi(k * n, 0.0);  // phi[c * n + i]
-  std::vector<double> bound(want_bounds ? n : 0, 0.0);  // charge-independent
-
-  CancellationToken cancel;
-  std::atomic<bool> deadline_hit{false};
-  // Packed (target * k + column) of the first non-finite potential seen.
-  std::atomic<std::int64_t> nonfinite_at{-1};
-  const bool deadline_active = governor_.deadline_armed();
-  std::vector<char> done(deadline_active ? n : 0, 0);
-  WorkStats work;
-
-  try {
-    const ScopedTimer phase_timer(obs::span::kEngineReplay, &eval_seconds);
-    work = parallel_for_blocked(
-        pool_, n, config_.block_size,
-        [&](std::size_t block_begin, std::size_t block_end, unsigned) -> std::uint64_t {
-          if (deadline_active && governor_.deadline_expired()) {
-            deadline_hit.store(true, std::memory_order_relaxed);
-            cancel.cancel();
-            return 0;
-          }
-          if constexpr (fault::kEnabled) {
-            if (fault::fire(fault::Site::kSlowWorker)) {
-              std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            }
-          }
-          std::uint64_t cost = 0;
-          for (std::size_t i = block_begin; i < block_end; ++i) {
-            const Vec3 x = plan.targets[i];
-            double my_bound = 0.0;
-            const std::uint64_t begin = plan.offsets[i];
-            const std::uint64_t end = plan.offsets[i + 1];
-            // One entry-stream walk per column block: the plan entries, the
-            // m2p basis pool, and the leaf positions stream from memory once
-            // for up to kMaxWidth columns, while each column's accumulator
-            // stays in a register. Per column the kernel calls, operands,
-            // and accumulation order are exactly the single-RHS replay's.
-            for (std::size_t c0 = 0; c0 < k; c0 += kMaxWidth) {
-              const std::size_t width = std::min(kMaxWidth, k - c0);
-              double acc[kMaxWidth] = {0.0};
-              double p2p_out[kMaxWidth];
-              std::span<const double> cq[kMaxWidth];
-              for (std::uint64_t idx = begin; idx < end; ++idx) {
-                const std::int32_t e = plan.entries[idx];
-                const auto nu = static_cast<std::size_t>(EvalPlan::node_of(e));
-                const TreeNode& node = nodes[nu];
-                if (EvalPlan::is_p2p(e)) {
-                  const std::span<const Vec3> ppos(pos.data() + node.begin,
-                                                   node.count());
-                  for (std::size_t w = 0; w < width; ++w) {
-                    cq[w] = std::span<const double>(
-                        sorted.data() + (c0 + w) * np + node.begin, node.count());
-                  }
-                  p2p_batch(x, ppos,
-                            std::span<const std::span<const double>>(cq, width),
-                            softening2, std::span<double>(p2p_out, width));
-                  for (std::size_t w = 0; w < width; ++w) acc[w] += p2p_out[w];
-                } else {
-                  const std::size_t j = static_cast<std::size_t>(m2p_slot[nu]);
-                  const std::uint64_t off =
-                      have_basis ? plan.basis_offset[idx] : EvalPlan::kNoBasis;
-                  // An uncovered entry fills its basis once into the
-                  // thread's workspace and applies it to every column:
-                  // m2p() is exactly that fill plus apply, so each column
-                  // stays bitwise equal to its single-RHS replay.
-                  const double* basis =
-                      off != EvalPlan::kNoBasis
-                          ? plan.basis.data() + off
-                          : m2p_basis_workspace(degrees_.degree[nu], node.center, x);
-                  for (std::size_t w = 0; w < width; ++w) {
-                    acc[w] += m2p_apply_basis(batch_m[j * k + c0 + w], basis);
-                  }
-                  if (c0 == 0 && want_bounds) my_bound += plan.entry_bounds[idx];
-                }
-              }
-              for (std::size_t w = 0; w < width; ++w) {
-                if (!std::isfinite(acc[w])) {
-                  obs::recorder::record(obs::recorder::Category::kNonFinite,
-                                        "engine.nonfinite_potential",
-                                        static_cast<double>(i));
-                  std::int64_t expected_idx = -1;
-                  nonfinite_at.compare_exchange_strong(
-                      expected_idx,
-                      static_cast<std::int64_t>(i * k + c0 + w),
-                      std::memory_order_relaxed);
-                  cancel.cancel();
-                  return cost;
-                }
-                phi[(c0 + w) * n + i] = acc[w];
-              }
-            }
-            if (want_bounds) bound[i] = my_bound;
-            if (deadline_active) done[i] = 1;
-            cost += plan.target_cost[i] * k;
-          }
-          return cost;
-        },
-        &cancel, obs::span::kEngineReplayWorker);
-  } catch (const std::exception& e) {
-    return engine_error(ErrorCode::kInternal,
-                        std::string("EvalSession: batch replay worker exception: ") +
-                            e.what());
-  }
-
-  const std::int64_t bad = nonfinite_at.load(std::memory_order_relaxed);
-  if (bad >= 0) {
-    return engine_error(
-        ErrorCode::kNonFinite,
-        "EvalSession: non-finite potential at evaluation point " +
-            std::to_string(bad / static_cast<std::int64_t>(k)) + " in batch column " +
-            std::to_string(bad % static_cast<std::int64_t>(k)));
-  }
-  std::uint64_t served = static_cast<std::uint64_t>(n);
-  if (deadline_hit.load(std::memory_order_relaxed)) {
-    reg.counter(obs::metric::kEngineDeadlineExpirations).add(1);
-    if (!config_.deadline_partial) {
-      return engine_error(ErrorCode::kDeadline,
-                          "EvalSession: deadline expired during batch replay");
-    }
-    served = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done[i] != 0) {
-        ++served;
-      } else {
-        for (std::size_t c = 0; c < k; ++c) phi[c * n + i] = 0.0;
-        if (want_bounds) bound[i] = 0.0;
-      }
+    m2p_slot.assign(nodes.size(), -1);
+    for (std::size_t j = 0; j < num_m2p; ++j) {
+      m2p_slot[static_cast<std::size_t>(plan.m2p_nodes[j])] = static_cast<std::int32_t>(j);
     }
   }
 
-  reg.counter(obs::metric::kEngineBatchReplays).add(1);
-  reg.counter(rung == ServeRung::kBasisReplay
-                  ? obs::metric::kEngineServeBasisReplay
-                  : obs::metric::kEngineServePlainReplay)
-      .add(1);
-  reg.counter(obs::metric::kEngineMultipoleTerms).add(plan.stats.multipole_terms * k);
-  reg.counter(obs::metric::kEngineM2pCount).add(plan.stats.m2p_count * k);
-  reg.counter(obs::metric::kEngineP2pPairs).add(plan.stats.p2p_pairs * k);
-
-  for (std::size_t c = 0; c < k; ++c) {
-    EvalResult& r = results[c];
-    r.stats.build_seconds = refresh_seconds;
-    r.stats.eval_seconds = eval_seconds;
-    r.stats.work = work;
-    r.stats.targets_served = served;
-    if (served != static_cast<std::uint64_t>(n)) r.stats.outcome = ErrorCode::kDeadline;
-    const double* row = phi.data() + c * n;
-    if (plan.self) {
-      const auto& orig = tree_.original_index();
-      for (std::size_t i = 0; i < n; ++i) {
-        r.potential[orig[i]] = row[i];
-        if (want_bounds) r.error_bound[orig[i]] = bound[i];
-      }
-    } else {
-      std::copy(row, row + n, r.potential.begin());
-      if (want_bounds) {
-        std::copy(bound.begin(), bound.end(), r.error_bound.begin());
-      }
-    }
-    TREECODE_ASSERT_EVAL_INVARIANTS(tree_, degrees_, config_, r, out_n,
-                                    "EvalSession::evaluate_batch");
-  }
-  return results;
+  const ColumnView cols{.k = k,
+                        .charges = sorted.data(),
+                        .stride = np,
+                        .multipoles = batch_m.data(),
+                        .slot = m2p_slot.data()};
+  return replay_columns(plan, cols, refresh_seconds, obs::metric::kEngineBatchReplays);
 }
 
 Expected<EvalResult> EvalSession::try_evaluate_at(std::span<const Vec3> targets) {

@@ -240,6 +240,7 @@ class EvalSession {
 
  private:
   struct CompileAccumulator;
+  struct ColumnView;
 
   // Entry-point bodies: each public try_* above is a thin wrapper that
   // times the call and emits one obs::telemetry RequestRecord at exit
@@ -257,17 +258,32 @@ class EvalSession {
   /// denied. Mutates the session's charges (last column wins).
   Expected<std::vector<EvalResult>> evaluate_batch_sequential(
       const EvalPlan& plan, std::span<const std::span<const double>> charge_columns);
-  /// Best-effort p2m-basis coverage of every node `plan` references
-  /// (charge-independent, budget-gated, shared with the single-RHS refresh
-  /// pool) so a batch can rebuild per-column multipoles through
-  /// p2m_apply_basis. Never fails: uncovered nodes use the full kernel.
-  void cover_p2m_basis(const EvalPlan& plan);
+  /// Best-effort p2m-basis coverage of `node_list` (charge-independent,
+  /// budget-gated, one session pool): assigns and fills pool storage for
+  /// every listed node not yet covered, in list order. Called by both the
+  /// single-RHS and the batch refresh. Never fails: uncovered nodes rebuild
+  /// through the full p2m kernel with identical coefficients.
+  void cover_p2m_basis(std::span<const std::int32_t> node_list);
   /// Shared ladder body for try_evaluate_at / try_evaluate; `key_out`
   /// reports the compiled plan's cache key (0 if compile was denied).
   Expected<EvalResult> try_evaluate_at_impl(std::span<const Vec3> targets,
                                             bool self, std::uint64_t& key_out);
-  /// Rungs 0-1: replay `plan` (refresh + frozen-list accumulation).
+  /// P2M of node `nu` from tree-sorted `charges` into `m` (reset to the
+  /// node's degree): through the p2m pool when the node is covered, else
+  /// the full kernel — the same coefficients bit for bit.
+  void p2m_node(std::size_t nu, const double* charges, MultipoleExpansion& m) const;
+  /// Rungs 0-1: refresh the session's multipoles, then replay `plan` as
+  /// the k = 1 column view of replay_columns.
   Expected<EvalResult> replay(const EvalPlan& plan);
+  /// The one replay walk, shared by try_evaluate (k = 1, the only width
+  /// with gradient and audit branches) and try_evaluate_batch: walk each
+  /// target's frozen entries once per block of up to 8 columns, then
+  /// check, count (`replay_metric` once, work counters per column), and
+  /// scatter every column to the caller's order.
+  Expected<std::vector<EvalResult>> replay_columns(const EvalPlan& plan,
+                                                   const ColumnView& cols,
+                                                   double refresh_seconds,
+                                                   const char* replay_metric);
   /// Rebuild the plan-referenced multipoles whose epoch is stale,
   /// reserving first-build coefficient bytes against the governor.
   Expected<void> try_ensure_refreshed(const EvalPlan& plan);

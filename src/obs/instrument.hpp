@@ -36,11 +36,12 @@ inline void count_slot(std::array<std::uint64_t, N>& counts, int slot,
   counts[i < N ? i : N - 1] += n;
 }
 
-/// Merge `counts` into the registry histogram `name` (integer buckets
-/// 0..N-1) as batched observations — one registry lookup per flush, not
-/// per event.
+/// Merge `counts`, `times` over, into the registry histogram `name`
+/// (integer buckets 0..N-1) as batched observations — one registry lookup
+/// per flush, not per event.
 template <std::size_t N>
-inline void flush_counts(std::string_view name, const std::array<std::uint64_t, N>& counts) {
+inline void flush_counts(std::string_view name, const std::array<std::uint64_t, N>& counts,
+                         std::uint64_t times = 1) {
   bool any = false;
   for (const std::uint64_t c : counts) {
     if (c != 0) {
@@ -52,7 +53,7 @@ inline void flush_counts(std::string_view name, const std::array<std::uint64_t, 
   static const std::vector<double> bounds = integer_buckets(static_cast<int>(N) - 1);
   Histogram& h = registry().histogram(name, bounds);
   for (std::size_t i = 0; i < N; ++i) {
-    if (counts[i] != 0) h.observe_n(static_cast<double>(i), counts[i]);
+    if (counts[i] != 0) h.observe_n(static_cast<double>(i), counts[i] * times);
   }
 }
 

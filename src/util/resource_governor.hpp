@@ -4,14 +4,16 @@
 /// Session-wide resource governance: byte accounting with a hard budget,
 /// plus an armable evaluation deadline.
 ///
-/// BENCH_engine.json puts the compiled-plan + basis footprint near 746 MB
-/// for only 35k sources — an unguarded compile in a memory-constrained
-/// deployment does not fail gracefully, it gets OOM-killed. The governor
-/// turns "hope the allocator succeeds" into an explicit protocol: every
-/// durable engine allocation (plan storage, evaluation bases, multipole
-/// coefficients) first reserves its bytes here, and a denial surfaces as a
-/// typed kMemoryBudget error that the degradation ladder (eval_session.hpp)
-/// converts into a cheaper serving strategy instead of a dead process.
+/// The BEM vertex plan over 35k sources holds 377.6 MB (engine.plan_bytes,
+/// which already includes its 368.7 MB m2p basis) plus a 168.5 MB session
+/// p2m refresh pool, about 546 MB in all — an unguarded compile in a
+/// memory-constrained deployment does not fail gracefully, it gets
+/// OOM-killed. The governor turns "hope the allocator succeeds" into an
+/// explicit protocol: every durable engine allocation (plan storage,
+/// evaluation bases, multipole coefficients) first reserves its bytes here,
+/// and a denial surfaces as a typed kMemoryBudget error that the
+/// degradation ladder (eval_session.hpp) converts into a cheaper serving
+/// strategy instead of a dead process.
 ///
 /// Accounting covers *durable* session footprint — storage that lives past
 /// the call that allocates it. Transient compile scratch (per-target entry

@@ -6,11 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <random>
 #include <span>
 #include <vector>
 
+#include "bitwise.hpp"
 #include "core/treecode.hpp"
 #include "dist/distributions.hpp"
 #include "engine/eval_session.hpp"
@@ -29,11 +29,6 @@ std::vector<Vec3> grid_targets(std::size_t n, std::uint64_t seed) {
   std::vector<Vec3> t(n);
   for (Vec3& x : t) x = {u(rng), u(rng), u(rng)};
   return t;
-}
-
-bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 EvalConfig audited_config(std::size_t samples, std::uint64_t seed = 7) {

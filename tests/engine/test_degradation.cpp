@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <random>
 #include <vector>
 
+#include "bitwise.hpp"
 #include "core/direct.hpp"
 #include "core/treecode.hpp"
 #include "dist/distributions.hpp"
@@ -34,11 +34,6 @@ std::vector<Vec3> grid_targets(std::size_t n, std::uint64_t seed) {
   std::vector<Vec3> t(n);
   for (Vec3& x : t) x = {u(rng), u(rng), u(rng)};
   return t;
-}
-
-bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 /// Bytes a rung-2 traversal transiently needs: every node's multipole

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <random>
 #include <span>
 #include <vector>
 
+#include "bitwise.hpp"
 #include "dist/distributions.hpp"
 #include "engine/eval_session.hpp"
 #include "obs/metric_names.hpp"
@@ -55,11 +55,6 @@ std::vector<std::span<const double>> as_spans(
   return spans;
 }
 
-bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
 // The tentpole contract: each column of a k-wide batched replay is
 // bitwise-identical to the single-RHS replay of that column — at every
 // thread count and every batch width. Batch composition can never change a
@@ -104,6 +99,29 @@ TEST(EvalBatch, SelfPlanColumnsBitwiseMatchSingleRhs) {
     EXPECT_TRUE(bitwise_equal(batch[c].potential, single.potential)) << c;
     EXPECT_TRUE(bitwise_equal(batch[c].error_bound, single.error_bound)) << c;
   }
+}
+
+// Each batch column counts like one single-RHS replay: the per-level
+// histograms advance with the work counters, so their sums agree with
+// engine.m2p_count under batch traffic.
+TEST(EvalBatch, BatchColumnsFlushPerLevelHistograms) {
+  const ParticleSystem ps = dist::uniform_cube(1200, 41);
+  engine::EvalSession session(Tree(ps), base_config(2));
+  const auto plan = session.try_compile(grid_targets(150, 13)).value_or_throw();
+  const auto m2p_histogram_total = [] {
+    const obs::MetricsSnapshot snap = obs::registry().snapshot();
+    const auto it = snap.histograms.find(obs::metric::kEngineM2pPerLevel);
+    return it == snap.histograms.end() ? std::uint64_t{0} : it->second.total;
+  };
+  obs::Counter& m2p_count = obs::registry().counter(obs::metric::kEngineM2pCount);
+  const std::uint64_t histogram_before = m2p_histogram_total();
+  const std::uint64_t count_before = m2p_count.value();
+  const auto cols = distinct_columns(3, ps.size(), 57);
+  (void)session.try_evaluate_batch(*plan, as_spans(cols)).value_or_throw();
+  const std::uint64_t count_delta = m2p_count.value() - count_before;
+  EXPECT_GT(plan->stats.m2p_count, 0u);
+  EXPECT_EQ(count_delta, 3 * plan->stats.m2p_count);
+  EXPECT_EQ(m2p_histogram_total() - histogram_before, count_delta);
 }
 
 // The batched path reads columns directly; the session's own charge state

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <random>
+#include <span>
 #include <vector>
 
+#include "bitwise.hpp"
 #include "core/treecode.hpp"
 #include "dist/distributions.hpp"
 #include "engine/eval_session.hpp"
@@ -42,11 +43,6 @@ std::vector<double> perturbed_charges(const ParticleSystem& ps, std::uint64_t se
   std::vector<double> q(ps.charges().begin(), ps.charges().end());
   for (double& v : q) v *= u(rng);
   return q;
-}
-
-bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 // The engine's core contract: replaying a compiled plan is bitwise-equal to
@@ -141,6 +137,34 @@ TEST(EvalSession, BasisPrecomputeDoesNotChangeResults) {
   mixed.update_charges(q);
   const EvalResult c = mixed.evaluate_at(targets);
   EXPECT_TRUE(bitwise_equal(a.potential, c.potential));
+
+  // The single-RHS and batch refreshes share one p2m pool: whichever runs
+  // first covers a node and the other reuses it. Both orders must match
+  // the basis-free session.
+  const std::vector<double> q2 = perturbed_charges(ps, 405);
+  const std::vector<std::span<const double>> columns{q, q2};
+  plain.update_charges(q2);
+  const EvalResult a2 = plain.evaluate(*plain.compile(targets));
+
+  engine::EvalSession batch_first(Tree(ps), cfg, tiny);
+  const auto batch_first_plan = batch_first.compile(targets);
+  const std::vector<EvalResult> early_batch =
+      batch_first.try_evaluate_batch(*batch_first_plan, columns).value_or_throw();
+  batch_first.update_charges(q);
+  const EvalResult late_single = batch_first.evaluate(*batch_first_plan);
+  EXPECT_TRUE(bitwise_equal(a.potential, early_batch[0].potential));
+  EXPECT_TRUE(bitwise_equal(a2.potential, early_batch[1].potential));
+  EXPECT_TRUE(bitwise_equal(a.potential, late_single.potential));
+
+  engine::EvalSession single_first(Tree(ps), cfg, tiny);
+  single_first.update_charges(q);
+  const auto single_first_plan = single_first.compile(targets);
+  const EvalResult early_single = single_first.evaluate(*single_first_plan);
+  const std::vector<EvalResult> late_batch =
+      single_first.try_evaluate_batch(*single_first_plan, columns).value_or_throw();
+  EXPECT_TRUE(bitwise_equal(a.potential, early_single.potential));
+  EXPECT_TRUE(bitwise_equal(a.potential, late_batch[0].potential));
+  EXPECT_TRUE(bitwise_equal(a2.potential, late_batch[1].potential));
 }
 
 TEST(EvalSession, BudgetEnforcedConfigReplaysBitwise) {

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <random>
 #include <vector>
 
+#include "bitwise.hpp"
 #include "core/treecode.hpp"
 #include "dist/distributions.hpp"
 #include "engine/eval_session.hpp"
@@ -45,11 +45,6 @@ std::vector<Vec3> grid_targets(std::size_t n, std::uint64_t seed) {
   std::vector<Vec3> t(n);
   for (Vec3& x : t) x = {u(rng), u(rng), u(rng)};
   return t;
-}
-
-bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 // Reservation ordinals per public call (the harness's instruction set):

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <random>
 #include <string>
@@ -9,6 +8,7 @@
 
 #include "bem/bem_operator.hpp"
 #include "bem/meshgen.hpp"
+#include "bitwise.hpp"
 #include "dist/distributions.hpp"
 #include "engine/eval_session.hpp"
 #include "obs/metric_names.hpp"
@@ -43,11 +43,6 @@ std::vector<double> charges_for(std::size_t n, std::uint64_t seed) {
   std::vector<double> q(n);
   for (double& v : q) v = u(rng);
   return q;
-}
-
-bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 // pump() mode keeps scheduling deterministic: queue k requests, pump once,
