@@ -1,15 +1,13 @@
 #include "core/barnes_hut.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "analysis/invariants.hpp"
-#include "multipole/error_bounds.hpp"
+#include "core/traversal.hpp"
 #include "multipole/operators.hpp"
 #include "obs/audit.hpp"
 #include "obs/instrument.hpp"
@@ -21,38 +19,6 @@
 #include "util/validate.hpp"
 
 namespace treecode {
-
-namespace {
-
-/// The alpha-criterion. Accept the cluster when its radius-to-distance
-/// ratio is at most alpha (and the point is strictly outside the cluster
-/// sphere, which alpha < 1 implies for r > 0).
-inline bool mac_accepts(const TreeNode& node, const Vec3& point, double alpha,
-                        double& r_out) noexcept {
-  const double r = distance(point, node.center);
-  r_out = r;
-  return r > 0.0 && node.radius <= alpha * r;
-}
-
-}  // namespace
-
-struct BarnesHutEvaluator::ThreadAccumulator {
-  std::uint64_t terms = 0;
-  std::uint64_t m2p = 0;
-  std::uint64_t p2p = 0;
-  std::uint64_t budget_refine = 0;
-  std::uint64_t budget_refine_leaf = 0;
-  double max_bound = 0.0;
-  /// Expansion degrees actually evaluated (M2P) — not the degree table's
-  /// range, which over-reports when budget enforcement demotes clusters.
-  int min_deg = std::numeric_limits<int>::max();
-  int max_deg = -1;
-  obs::LevelCounts m2p_by_level{};
-  obs::LevelCounts p2p_by_level{};
-  obs::DegreeCounts degree_used{};
-  /// Thread-private top-K audit reservoir (capacity 0 unless auditing).
-  obs::audit::Reservoir audit;
-};
 
 BarnesHutEvaluator::BarnesHutEvaluator(const Tree& tree, const EvalConfig& config,
                                        ThreadPool* pool, std::span<const double> sorted_charges)
@@ -73,23 +39,14 @@ BarnesHutEvaluator::BarnesHutEvaluator(const Tree& tree, const EvalConfig& confi
   multipoles_.resize(nodes.size());
   const auto& pos = tree_.positions();
   const auto& q = charges_;
-  auto build_node = [&](std::size_t i) {
+  for_each_node(pool, nodes.size(), obs::span::kBhP2mWorker, [&](std::size_t i) {
     const TreeNode& node = nodes[i];
     if (node.count() == 0) return;
     multipoles_[i].reset(degrees_.degree[i]);
     p2m(node.center,
         std::span<const Vec3>(pos.data() + node.begin, node.count()),
         std::span<const double>(q.data() + node.begin, node.count()), multipoles_[i]);
-  };
-  if (pool != nullptr && pool->width() > 1) {
-    parallel_for(*pool, nodes.size(), 8,
-                 [&](std::size_t b, std::size_t e, unsigned) {
-                   for (std::size_t i = b; i < e; ++i) build_node(i);
-                 },
-                 nullptr, obs::span::kBhP2mWorker);
-  } else {
-    for (std::size_t i = 0; i < nodes.size(); ++i) build_node(i);
-  }
+  });
 }
 
 std::uint64_t BarnesHutEvaluator::stored_coefficients() const noexcept {
@@ -122,14 +79,12 @@ EvalResult BarnesHutEvaluator::run(ThreadPool& pool, std::span<const Vec3> point
   // particles, leaving zero-filled slots).
   const std::size_t out_n = self ? tree_.source_size() : n;
   const bool enforce = config_.enforce_budget;
-  const double budget = config_.error_budget;
   const bool want_grad = config_.compute_gradient;
   const bool want_bounds = config_.track_error_bounds || enforce;
   // Audit target indices are sorted-order point indices in both self and
   // external mode, so a self evaluation and an evaluate_at over the sorted
   // positions audit identical interactions.
   const bool auditing = config_.audit_samples > 0;
-  const bool want_thm1 = want_bounds || auditing;
   result.potential.assign(out_n, 0.0);
   if (want_grad) result.gradient.assign(out_n, Vec3{});
   if (want_bounds) result.error_bound.assign(out_n, 0.0);
@@ -140,8 +95,13 @@ EvalResult BarnesHutEvaluator::run(ThreadPool& pool, std::span<const Vec3> point
   const auto& nodes = tree_.nodes();
   const auto& pos = tree_.positions();
   const auto& q = charges_;
-  const double alpha = config_.alpha;
   const double softening2 = config_.softening * config_.softening;
+  const TraversalParams walk{.nodes = nodes,
+                             .degree = degrees_.degree,
+                             .alpha = config_.alpha,
+                             .thm1 = want_bounds || auditing,
+                             .enforce = enforce,
+                             .budget = config_.error_budget};
 
   // Results are computed into sorted-order slots, then scattered to the
   // caller's order at the end (self mode only; external points are already
@@ -149,121 +109,61 @@ EvalResult BarnesHutEvaluator::run(ThreadPool& pool, std::span<const Vec3> point
   std::vector<double> phi(n, 0.0);
   std::vector<Vec3> grad(want_grad ? n : 0, Vec3{});
   std::vector<double> bound(want_bounds ? n : 0, 0.0);
-  std::vector<ThreadAccumulator> acc(pool.width());
-  if (auditing) {
-    for (auto& a : acc) a.audit.set_capacity(config_.audit_samples);
-  }
+  std::vector<TraversalTally> acc(pool.width());
+  std::vector<obs::audit::Reservoir> reservoirs(auditing ? pool.width() : 0);
+  for (auto& r : reservoirs) r.set_capacity(config_.audit_samples);
 
   {
     const ScopedTimer phase_timer(obs::span::kBhTraverse, &result.stats.eval_seconds);
     result.stats.work = parallel_for_blocked(
       pool, n, config_.block_size,
       [&](std::size_t block_begin, std::size_t block_end, unsigned t) -> std::uint64_t {
-        ThreadAccumulator& a = acc[t];
-        const std::uint64_t terms_before = a.terms + a.p2p;
-        std::vector<int> stack;
-        stack.reserve(64);
+        TraversalTally& a = acc[t];
+        const std::uint64_t work_before = a.work();
         for (std::size_t i = block_begin; i < block_end; ++i) {
           const Vec3 x = points[i];
-          // Sanitized non-finite targets keep a zero output slot; a NaN
-          // coordinate fails every MAC test and would otherwise degrade to
-          // an all-P2P sweep that still produces NaN.
-          if (!std::isfinite(x.x) || !std::isfinite(x.y) || !std::isfinite(x.z)) continue;
-          double my_phi = 0.0;
-          double my_bound = 0.0;
-          Vec3 my_grad{};
           // Per-target acceptance ordinal: combined with the target index it
           // keys the audit sampling, and both are schedule-independent (the
           // DFS visit order per target is fixed), so the sampled set is
           // bitwise identical across thread counts and block sizes.
           std::uint64_t audit_ord = 0;
-          stack.clear();
-          stack.push_back(0);
-          while (!stack.empty()) {
-            const int ni = stack.back();
-            stack.pop_back();
-            const TreeNode& node = nodes[static_cast<std::size_t>(ni)];
-            if (node.count() == 0) continue;
-            double r = 0.0;
-            bool approximate = mac_accepts(node, x, alpha, r);
-            // Theorem 1 with the actual cluster radius and distance —
-            // rigorous and tighter than the alpha-form of Theorem 2.
-            double thm1 = 0.0;
-            if (approximate && want_thm1) {
-              thm1 = multipole_error_bound(node.abs_charge, node.radius, r,
-                                           degrees_.degree[static_cast<std::size_t>(ni)]);
-              // Budget enforcement: if approximating this cluster would
-              // blow the target's budget, degrade gracefully — recurse
-              // into the children (tighter bounds) or, at a leaf, fall
-              // back to exact P2P (zero error contribution).
-              if (enforce && my_bound + thm1 > budget) {
-                approximate = false;
-                ++a.budget_refine;
-                if (node.is_leaf()) ++a.budget_refine_leaf;
-              }
-            }
-            if (approximate) {
-              const MultipoleExpansion& m = multipoles_[static_cast<std::size_t>(ni)];
-              double contribution;
-              if (want_grad) {
-                const PotentialGrad pg = m2p_grad(m, node.center, x);
-                contribution = pg.potential;
-                my_grad += pg.gradient;
-              } else {
-                contribution = m2p(m, node.center, x);
-              }
-              my_phi += contribution;
-              a.terms += static_cast<std::uint64_t>(m.term_count());
-              ++a.m2p;
-              const int deg = m.degree();
-              if (auditing) {
-                obs::audit::Sample s;
-                s.key = obs::audit::sample_key(config_.audit_seed, i, audit_ord);
-                s.target = i;
-                s.node = ni;
-                s.level = node.level;
-                s.degree = deg;
-                s.abs_charge = node.abs_charge;
-                s.approx = contribution;
-                s.bound = thm1;
-                // Scale of the cluster's potential at x, for the rounding
-                // floor that separates truncation error from FP noise.
-                s.noise_scale =
-                    r > node.radius ? node.abs_charge / (r - node.radius) : 0.0;
-                a.audit.offer(s);
-              }
-              ++audit_ord;
-              a.min_deg = std::min(a.min_deg, deg);
-              a.max_deg = std::max(a.max_deg, deg);
-              obs::count_slot(a.degree_used, deg);
-              obs::count_slot(a.m2p_by_level, node.level);
-              const double thm2 = mac_error_bound(node.abs_charge, r, alpha, m.degree());
-              a.max_bound = std::max(a.max_bound, thm2);
-              my_bound += thm1;
-            } else if (node.is_leaf()) {
-              const std::span<const Vec3> ppos(pos.data() + node.begin, node.count());
-              const std::span<const double> pq(q.data() + node.begin, node.count());
-              if (want_grad) {
-                const PotentialGrad pg = p2p_grad(x, ppos, pq, softening2);
-                my_phi += pg.potential;
-                my_grad += pg.gradient;
-              } else {
-                my_phi += p2p(x, ppos, pq, softening2);
-              }
-              a.p2p += node.count();
-              obs::count_slot(a.p2p_by_level, node.level, node.count());
-            } else {
-              for (int c = 0; c < node.num_children; ++c) {
-                stack.push_back(node.first_child + c);
-              }
-            }
-          }
+          const double my_bound = traverse_target(
+              walk, x, a,
+              [&](int ni, const TreeNode& node, double r, double thm1, int deg) {
+                const MultipoleExpansion& m = multipoles_[static_cast<std::size_t>(ni)];
+                double contribution;
+                if (want_grad) {
+                  const PotentialGrad pg = m2p_grad(m, node.center, x);
+                  contribution = pg.potential;
+                  grad[i] += pg.gradient;
+                } else {
+                  contribution = m2p(m, node.center, x);
+                }
+                phi[i] += contribution;
+                if (auditing) {
+                  reservoirs[t].offer(obs::audit::make_sample(
+                      config_.audit_seed, i, audit_ord, ni, node.level, deg, node.abs_charge,
+                      node.radius, r, contribution, thm1));
+                }
+                ++audit_ord;
+              },
+              [&](int, const TreeNode& node) {
+                const std::span<const Vec3> ppos(pos.data() + node.begin, node.count());
+                const std::span<const double> pq(q.data() + node.begin, node.count());
+                if (want_grad) {
+                  const PotentialGrad pg = p2p_grad(x, ppos, pq, softening2);
+                  phi[i] += pg.potential;
+                  grad[i] += pg.gradient;
+                } else {
+                  phi[i] += p2p(x, ppos, pq, softening2);
+                }
+              });
           // Inputs are validated at tree build, but override charges,
           // softening underflow, or an evaluation point sitting exactly on
           // an expansion center can still poison a potential; fail loudly
           // (parallel_for cancels the remaining blocks) instead of
           // returning garbage.
-          if (!std::isfinite(my_phi)) {
+          if (!std::isfinite(phi[i])) {
             obs::recorder::record(obs::recorder::Category::kNonFinite,
                                   "bh.nonfinite_potential", static_cast<double>(i));
             obs::recorder::trigger("bh: non-finite potential");
@@ -271,56 +171,24 @@ EvalResult BarnesHutEvaluator::run(ThreadPool& pool, std::span<const Vec3> point
                 "BarnesHutEvaluator: non-finite potential at evaluation point " +
                 std::to_string(i));
           }
-          phi[i] = my_phi;
-          if (want_grad) grad[i] = my_grad;
           if (want_bounds) bound[i] = my_bound;
         }
-        return (a.terms + a.p2p) - terms_before;  // cost of this block
+        return a.work() - work_before;  // cost of this block
       },
       nullptr, obs::span::kBhTraverseWorker);
   }
 
-  // Merge per-thread accumulators into the result stats and flush the
-  // batched tallies into the metrics registry.
-  int min_deg = std::numeric_limits<int>::max();
-  int max_deg = -1;
+  // Merge per-thread tallies into the stats; flushed to the registry below.
   obs::LevelCounts m2p_by_level{};
   obs::LevelCounts p2p_by_level{};
   obs::DegreeCounts degree_used{};
-  for (const auto& a : acc) {
-    result.stats.multipole_terms += a.terms;
-    result.stats.m2p_count += a.m2p;
-    result.stats.p2p_pairs += a.p2p;
-    result.stats.budget_refinements += a.budget_refine;
-    result.stats.budget_refinements_leaf += a.budget_refine_leaf;
-    result.stats.max_interaction_bound =
-        std::max(result.stats.max_interaction_bound, a.max_bound);
-    min_deg = std::min(min_deg, a.min_deg);
-    max_deg = std::max(max_deg, a.max_deg);
-    for (std::size_t i = 0; i < m2p_by_level.size(); ++i) {
-      m2p_by_level[i] += a.m2p_by_level[i];
-      p2p_by_level[i] += a.p2p_by_level[i];
-    }
-    for (std::size_t i = 0; i < degree_used.size(); ++i) degree_used[i] += a.degree_used[i];
-  }
-  if (max_deg >= 0) {
-    result.stats.min_degree_used = min_deg;
-    result.stats.max_degree_used = max_deg;
-  } else {
-    // No multipole interaction was actually evaluated (tiny system, or the
-    // budget demoted everything to P2P): no degree was used.
-    result.stats.min_degree_used = 0;
-    result.stats.max_degree_used = 0;
-  }
+  merge_tallies(acc, result.stats, m2p_by_level, p2p_by_level, degree_used);
 
   if (auditing) {
-    // Gather the thread-private reservoirs (thread order is irrelevant:
-    // merge() selects and sorts by the samples alone) and audit the global
-    // K winners against exact P2P partial sums. Multipole-approximated
-    // interactions are unsoftened, so the exact comparator is too.
-    std::vector<obs::audit::Reservoir> reservoirs;
-    reservoirs.reserve(acc.size());
-    for (auto& a : acc) reservoirs.push_back(std::move(a.audit));
+    // Audit the global K winners of the thread-private reservoirs (thread
+    // order is irrelevant: merge() selects and sorts by the samples alone)
+    // against exact P2P partial sums. Multipole-approximated interactions
+    // are unsoftened, so the exact comparator is too.
     const std::vector<obs::audit::Sample> winners =
         obs::audit::merge(reservoirs, config_.audit_samples);
     const obs::audit::Summary summary = obs::audit::finalize(
@@ -362,7 +230,7 @@ EvalResult BarnesHutEvaluator::run(ThreadPool& pool, std::span<const Vec3> point
     std::snprintf(msg, sizeof(msg),
                   "bh: error budget %.3g demoted %.0f%% of MAC-accepted interactions; "
                   "the budget is likely unachievably tight",
-                  budget,
+                  config_.error_budget,
                   100.0 * static_cast<double>(result.stats.budget_refinements) /
                       static_cast<double>(mac_accepted));
     obs::warn(msg);

@@ -12,9 +12,11 @@
 ///     exact to its truncation degree even when children carry lower
 ///     degrees (translation of a lower-degree child would silently drop the
 ///     orders the parent needs);
-///  3. per-particle traversal with the alpha-MAC, parallelized over blocks
-///     of `block_size` consecutive Hilbert-ordered particles (the paper's
-///     w-aggregation) with dynamic scheduling.
+///  3. per-particle alpha-MAC traversal (core/traversal.hpp, the walk plan
+///     compile records), applying each accepted M2P and each leaf P2P as it
+///     is decided; parallelized over blocks of `block_size` consecutive
+///     Hilbert-ordered particles (the paper's w-aggregation) with dynamic
+///     scheduling.
 ///
 /// The evaluator can be reused: construct once (builds the multipoles) and
 /// call evaluate() with different thread pools — that is how the parallel
@@ -71,8 +73,6 @@ class BarnesHutEvaluator {
   [[nodiscard]] std::uint64_t stored_coefficients() const noexcept;
 
  private:
-  struct ThreadAccumulator;
-
   /// Shared traversal core: evaluates at `points[i]`; `self` indicates the
   /// points are the tree's own (sorted) particles, enabling exact
   /// self-skip semantics in P2P.

@@ -1,11 +1,9 @@
 #include "core/dipole_barnes_hut.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include <limits>
-
 #include "analysis/invariants.hpp"
+#include "core/traversal.hpp"
 #include "multipole/operators.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metric_names.hpp"
@@ -35,23 +33,14 @@ DipoleBarnesHutEvaluator::DipoleBarnesHutEvaluator(const Tree& tree, const EvalC
   const auto& nodes = tree_.nodes();
   multipoles_.resize(nodes.size());
   const auto& pos = tree_.positions();
-  auto build_node = [&](std::size_t i) {
+  for_each_node(pool, nodes.size(), obs::span::kDipoleBhP2mWorker, [&](std::size_t i) {
     const TreeNode& node = nodes[i];
     if (node.count() == 0) return;
     multipoles_[i].reset(degrees_.degree[i]);
     p2m_dipole(node.center,
                std::span<const Vec3>(pos.data() + node.begin, node.count()),
                moments_.subspan(node.begin, node.count()), multipoles_[i]);
-  };
-  if (pool != nullptr && pool->width() > 1) {
-    parallel_for(*pool, nodes.size(), 8,
-                 [&](std::size_t b, std::size_t e, unsigned) {
-                   for (std::size_t i = b; i < e; ++i) build_node(i);
-                 },
-                 nullptr, obs::span::kDipoleBhP2mWorker);
-  } else {
-    for (std::size_t i = 0; i < nodes.size(); ++i) build_node(i);
-  }
+  });
 }
 
 EvalResult DipoleBarnesHutEvaluator::evaluate_at(ThreadPool& pool,
@@ -65,68 +54,43 @@ EvalResult DipoleBarnesHutEvaluator::evaluate_at(ThreadPool& pool,
   result.potential.assign(n, 0.0);
   if (n == 0 || tree_.num_particles() == 0) return result;
 
-  const auto& nodes = tree_.nodes();
   const auto& pos = tree_.positions();
-  const double alpha = config_.alpha;
-  std::vector<std::uint64_t> terms(pool.width(), 0);
-  std::vector<std::uint64_t> p2p_count(pool.width(), 0);
-  std::vector<int> min_deg(pool.width(), std::numeric_limits<int>::max());
-  std::vector<int> max_deg(pool.width(), -1);
+  // Theorem 1 is stated for monopole sources, so the dipole walk computes
+  // no bounds and demotes nothing.
+  const TraversalParams walk{.nodes = tree_.nodes(),
+                             .degree = degrees_.degree,
+                             .alpha = config_.alpha};
+  std::vector<TraversalTally> acc(pool.width());
 
   {
   const ScopedTimer eval_phase(obs::span::kDipoleBhTraverse, &result.stats.eval_seconds);
   result.stats.work = parallel_for_blocked(
       pool, n, config_.block_size,
       [&](std::size_t block_begin, std::size_t block_end, unsigned t) -> std::uint64_t {
-        std::uint64_t cost = 0;
-        std::vector<int> stack;
-        stack.reserve(64);
+        TraversalTally& a = acc[t];
+        const std::uint64_t work_before = a.work();
         for (std::size_t i = block_begin; i < block_end; ++i) {
           const Vec3 x = points[i];
-          if (!std::isfinite(x.x) || !std::isfinite(x.y) || !std::isfinite(x.z)) continue;
-          double my_phi = 0.0;
-          stack.clear();
-          stack.push_back(0);
-          while (!stack.empty()) {
-            const int ni = stack.back();
-            stack.pop_back();
-            const TreeNode& node = nodes[static_cast<std::size_t>(ni)];
-            if (node.count() == 0) continue;
-            const double r = distance(x, node.center);
-            if (r > 0.0 && node.radius <= alpha * r) {
-              const MultipoleExpansion& m = multipoles_[static_cast<std::size_t>(ni)];
-              my_phi += m2p(m, node.center, x);
-              terms[t] += static_cast<std::uint64_t>(m.term_count());
-              cost += static_cast<std::uint64_t>(m.term_count());
-              min_deg[t] = std::min(min_deg[t], m.degree());
-              max_deg[t] = std::max(max_deg[t], m.degree());
-            } else if (node.is_leaf()) {
-              my_phi += p2p_dipole(x,
-                                   std::span<const Vec3>(pos.data() + node.begin, node.count()),
-                                   moments_.subspan(node.begin, node.count()));
-              p2p_count[t] += node.count();
-              cost += node.count();
-            } else {
-              for (int c = 0; c < node.num_children; ++c) stack.push_back(node.first_child + c);
-            }
-          }
-          result.potential[i] = my_phi;
+          traverse_target</*kBounds=*/false>(
+              walk, x, a,
+              [&](int ni, const TreeNode& node, double, double, int) {
+                result.potential[i] +=
+                    m2p(multipoles_[static_cast<std::size_t>(ni)], node.center, x);
+              },
+              [&](int, const TreeNode& node) {
+                result.potential[i] +=
+                    p2p_dipole(x, std::span<const Vec3>(pos.data() + node.begin, node.count()),
+                               moments_.subspan(node.begin, node.count()));
+              });
         }
-        return cost;
+        return a.work() - work_before;
       },
       nullptr, obs::span::kDipoleBhTraverseWorker);
   }
-  int used_min = std::numeric_limits<int>::max();
-  int used_max = -1;
-  for (unsigned t = 0; t < pool.width(); ++t) {
-    result.stats.multipole_terms += terms[t];
-    result.stats.p2p_pairs += p2p_count[t];
-    used_min = std::min(used_min, min_deg[t]);
-    used_max = std::max(used_max, max_deg[t]);
-  }
-  // Degrees actually evaluated, mirroring BarnesHutEvaluator::run.
-  result.stats.min_degree_used = used_max >= 0 ? used_min : 0;
-  result.stats.max_degree_used = used_max >= 0 ? used_max : 0;
+  obs::LevelCounts m2p_by_level{};
+  obs::LevelCounts p2p_by_level{};
+  obs::DegreeCounts degree_used{};
+  merge_tallies(acc, result.stats, m2p_by_level, p2p_by_level, degree_used);
   obs::Registry& reg = obs::registry();
   reg.counter(obs::metric::kDipoleBhMultipoleTerms).add(result.stats.multipole_terms);
   reg.counter(obs::metric::kDipoleBhP2pPairs).add(result.stats.p2p_pairs);

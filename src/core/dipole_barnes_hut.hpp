@@ -3,11 +3,13 @@
 /// \file dipole_barnes_hut.hpp
 /// Barnes-Hut evaluation of *dipole* source fields.
 ///
-/// Same traversal and MAC as the monopole evaluator, but node expansions
-/// are built with p2m_dipole and the near field uses the exact dipole
-/// kernel d . (x - y)/|x - y|^3. This powers the double-layer boundary
-/// operator (bem/double_layer.hpp), whose sources are oriented surface
-/// elements rather than charges.
+/// The monopole evaluator's alpha-MAC walk (core/traversal.hpp), run with
+/// bounds off: Theorem 1 is stated for monopole sources, so no bound is
+/// computed and no budget demotes a cluster. Node expansions are built
+/// with p2m_dipole and the near field uses the exact dipole kernel
+/// d . (x - y)/|x - y|^3. This powers the double-layer boundary operator
+/// (bem/double_layer.hpp), whose sources are oriented surface elements
+/// rather than charges.
 ///
 /// The tree is built once over the source *positions* (use |moment|-sized
 /// placeholder charges so the adaptive degree assignment sees the source

@@ -13,6 +13,7 @@
 
 #include "analysis/invariants.hpp"
 #include "core/barnes_hut.hpp"
+#include "core/traversal.hpp"
 #include "multipole/error_bounds.hpp"
 #include "multipole/operators.hpp"
 #include "obs/audit.hpp"
@@ -30,15 +31,6 @@
 namespace treecode::engine {
 
 namespace {
-
-/// The alpha-criterion, identical to the Barnes-Hut traversal's: accept the
-/// cluster when its radius-to-distance ratio is at most alpha.
-inline bool mac_accepts(const TreeNode& node, const Vec3& point, double alpha,
-                        double& r_out) noexcept {
-  const double r = distance(point, node.center);
-  r_out = r;
-  return r > 0.0 && node.radius <= alpha * r;
-}
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
@@ -98,22 +90,6 @@ bool memory_class(ErrorCode code) noexcept {
 
 /// Widest column block one replay walk accumulates in registers.
 constexpr std::size_t kMaxWidth = 8;
-
-/// Run fn(j) for every j in [0, count): over the pool in blocks of 8 nodes
-/// when it has workers to spare, inline otherwise.
-template <typename Fn>
-void for_each_node(ThreadPool& pool, std::size_t count, const Fn& fn) {
-  if (pool.width() <= 1) {
-    for (std::size_t j = 0; j < count; ++j) fn(j);
-    return;
-  }
-  parallel_for(
-      pool, count, 8,
-      [&](std::size_t b, std::size_t e, unsigned) {
-        for (std::size_t j = b; j < e; ++j) fn(j);
-      },
-      nullptr, obs::span::kEngineRefreshWorker);
-}
 
 ErrorCode denial_code(const ResourceGovernor& governor) noexcept {
   return governor.last_denial_was_fault() ? ErrorCode::kFaultInjected
@@ -190,23 +166,6 @@ void emit_request(obs::telemetry::Api api, std::uint64_t key, double wall,
 }
 
 }  // namespace
-
-/// Per-thread compile statistics, merged in thread order after the sweep —
-/// the same shape (and merge order) as the fresh traversal's accumulator so
-/// plan stats match BarnesHutEvaluator stats exactly.
-struct EvalSession::CompileAccumulator {
-  std::uint64_t terms = 0;
-  std::uint64_t m2p = 0;
-  std::uint64_t p2p = 0;
-  std::uint64_t budget_refine = 0;
-  std::uint64_t budget_refine_leaf = 0;
-  double max_bound = 0.0;
-  int min_deg = std::numeric_limits<int>::max();
-  int max_deg = -1;
-  obs::LevelCounts m2p_by_level{};
-  obs::LevelCounts p2p_by_level{};
-  obs::DegreeCounts degree_used{};
-};
 
 EvalSession::EvalSession(Tree tree, const EvalConfig& config, const Options& options)
     : tree_(std::move(tree)),
@@ -344,21 +303,20 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
 
   const std::size_t n = targets.size();
   const auto& nodes = tree_.nodes();
-  const bool enforce = config_.enforce_budget;
-  const double budget = config_.error_budget;
-  const bool want_bounds = config_.track_error_bounds || enforce;
-  const double alpha = config_.alpha;
+  const bool want_bounds = config_.track_error_bounds || config_.enforce_budget;
+  const TraversalParams walk{.nodes = nodes,
+                             .degree = degrees_.degree,
+                             .alpha = config_.alpha,
+                             .thm1 = want_bounds,
+                             .enforce = config_.enforce_budget,
+                             .budget = config_.error_budget};
 
-  std::vector<char> skip(n, 0);
-  for (const std::uint32_t idx : plan->skipped_targets) skip[idx] = 1;
-
-  // One alpha-MAC traversal per target, parallel over target blocks. The
-  // DFS below mirrors BarnesHutEvaluator::run decision-for-decision
-  // (including the budget bound-accumulation order) so a replay of the
-  // recorded entries is bitwise-identical to a fresh traversal.
+  // The one alpha-MAC traversal per target, parallel over target blocks,
+  // recording each decision (and its Theorem-1 bound) for replay.
   std::vector<std::vector<std::int32_t>> per_entries(n);
   std::vector<std::vector<double>> per_bounds(want_bounds ? n : 0);
-  std::vector<CompileAccumulator> acc(pool_.width());
+  std::vector<TraversalTally> acc(pool_.width());
+  plan->target_cost.resize(n, 0);
 
   // The runtime rethrows a worker's exception on this thread (a traversal
   // worker can only hit bad_alloc growing its per-target entry vectors);
@@ -367,62 +325,23 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
     parallel_for_blocked(
         pool_, n, config_.block_size,
         [&](std::size_t block_begin, std::size_t block_end, unsigned t) -> std::uint64_t {
-          CompileAccumulator& a = acc[t];
-          const std::uint64_t terms_before = a.terms + a.p2p;
-          std::vector<int> stack;
-          stack.reserve(64);
+          TraversalTally& a = acc[t];
+          const std::uint64_t work_before = a.work();
           for (std::size_t i = block_begin; i < block_end; ++i) {
-            if (skip[i] != 0) continue;
-            const Vec3 x = targets[i];
-            std::vector<std::int32_t>& ent = per_entries[i];
-            double my_bound = 0.0;
-            stack.clear();
-            stack.push_back(0);
-            while (!stack.empty()) {
-              const int ni = stack.back();
-              stack.pop_back();
-              const auto nu = static_cast<std::size_t>(ni);
-              const TreeNode& node = nodes[nu];
-              if (node.count() == 0) continue;
-              double r = 0.0;
-              bool approximate = mac_accepts(node, x, alpha, r);
-              double thm1 = 0.0;
-              if (approximate && want_bounds) {
-                thm1 = multipole_error_bound(node.abs_charge, node.radius, r,
-                                             degrees_.degree[nu]);
-                if (enforce && my_bound + thm1 > budget) {
-                  approximate = false;
-                  ++a.budget_refine;
-                  if (node.is_leaf()) ++a.budget_refine_leaf;
-                }
-              }
-              if (approximate) {
-                const int deg = degrees_.degree[nu];
-                ent.push_back(EvalPlan::make_entry(ni, /*p2p=*/false));
-                if (want_bounds) per_bounds[i].push_back(thm1);
-                a.terms += static_cast<std::uint64_t>(deg + 1) *
-                           static_cast<std::uint64_t>(deg + 1);
-                ++a.m2p;
-                a.min_deg = std::min(a.min_deg, deg);
-                a.max_deg = std::max(a.max_deg, deg);
-                obs::count_slot(a.degree_used, deg);
-                obs::count_slot(a.m2p_by_level, node.level);
-                const double thm2 = mac_error_bound(node.abs_charge, r, alpha, deg);
-                a.max_bound = std::max(a.max_bound, thm2);
-                my_bound += thm1;
-              } else if (node.is_leaf()) {
-                ent.push_back(EvalPlan::make_entry(ni, /*p2p=*/true));
-                if (want_bounds) per_bounds[i].push_back(0.0);
-                a.p2p += node.count();
-                obs::count_slot(a.p2p_by_level, node.level, node.count());
-              } else {
-                for (int c = 0; c < node.num_children; ++c) {
-                  stack.push_back(node.first_child + c);
-                }
-              }
-            }
+            const std::uint64_t target_before = a.work();
+            traverse_target(
+                walk, targets[i], a,
+                [&](int ni, const TreeNode&, double, double thm1, int) {
+                  per_entries[i].push_back(EvalPlan::make_entry(ni, /*p2p=*/false));
+                  if (want_bounds) per_bounds[i].push_back(thm1);
+                },
+                [&](int ni, const TreeNode&) {
+                  per_entries[i].push_back(EvalPlan::make_entry(ni, /*p2p=*/true));
+                  if (want_bounds) per_bounds[i].push_back(0.0);
+                });
+            plan->target_cost[i] = a.work() - target_before;
           }
-          return (a.terms + a.p2p) - terms_before;
+          return a.work() - work_before;
         },
         nullptr, obs::span::kEngineCompileWorker);
   } catch (const std::exception& e) {
@@ -441,24 +360,17 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
   plan->offsets[n] = total;
   plan->entries.reserve(total);
   if (want_bounds) plan->entry_bounds.reserve(total);
-  plan->target_cost.resize(n, 0);
   std::vector<char> referenced(nodes.size(), 0);
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t cost = 0;
-    for (std::size_t k = 0; k < per_entries[i].size(); ++k) {
-      const std::int32_t e = per_entries[i][k];
-      plan->entries.push_back(e);
-      if (want_bounds) plan->entry_bounds.push_back(per_bounds[i][k]);
-      const auto nu = static_cast<std::size_t>(EvalPlan::node_of(e));
-      if (EvalPlan::is_p2p(e)) {
-        cost += nodes[nu].count();
-      } else {
-        referenced[nu] = 1;
-        const auto deg = static_cast<std::uint64_t>(degrees_.degree[nu]);
-        cost += (deg + 1) * (deg + 1);
-      }
+    const std::vector<std::int32_t>& ent = per_entries[i];
+    plan->entries.insert(plan->entries.end(), ent.begin(), ent.end());
+    if (want_bounds) {
+      plan->entry_bounds.insert(plan->entry_bounds.end(), per_bounds[i].begin(),
+                                per_bounds[i].end());
     }
-    plan->target_cost[i] = cost;
+    for (const std::int32_t e : ent) {
+      if (!EvalPlan::is_p2p(e)) referenced[static_cast<std::size_t>(EvalPlan::node_of(e))] = 1;
+    }
   }
   for (std::size_t nu = 0; nu < referenced.size(); ++nu) {
     if (referenced[nu] != 0) plan->m2p_nodes.push_back(static_cast<std::int32_t>(nu));
@@ -561,28 +473,7 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
   }
 
   // Merge per-thread statistics in thread order (same as the fresh run).
-  int min_deg = std::numeric_limits<int>::max();
-  int max_deg = -1;
-  for (const CompileAccumulator& a : acc) {
-    plan->stats.multipole_terms += a.terms;
-    plan->stats.m2p_count += a.m2p;
-    plan->stats.p2p_pairs += a.p2p;
-    plan->stats.budget_refinements += a.budget_refine;
-    plan->stats.budget_refinements_leaf += a.budget_refine_leaf;
-    plan->stats.max_interaction_bound =
-        std::max(plan->stats.max_interaction_bound, a.max_bound);
-    min_deg = std::min(min_deg, a.min_deg);
-    max_deg = std::max(max_deg, a.max_deg);
-    for (std::size_t i = 0; i < plan->m2p_by_level.size(); ++i) {
-      plan->m2p_by_level[i] += a.m2p_by_level[i];
-      plan->p2p_by_level[i] += a.p2p_by_level[i];
-    }
-    for (std::size_t i = 0; i < plan->degree_used.size(); ++i) {
-      plan->degree_used[i] += a.degree_used[i];
-    }
-  }
-  plan->stats.min_degree_used = max_deg >= 0 ? min_deg : 0;
-  plan->stats.max_degree_used = max_deg >= 0 ? max_deg : 0;
+  merge_tallies(acc, plan->stats, plan->m2p_by_level, plan->p2p_by_level, plan->degree_used);
   plan->stats.reference_charge = degrees_.reference_charge;
 
   reg.counter(obs::metric::kEnginePlanCompiles).add(1);
@@ -628,7 +519,7 @@ Expected<void> EvalSession::try_ensure_refreshed(const EvalPlan& plan) {
   cover_p2m_basis(stale_);
 
   try {
-    for_each_node(pool_, stale_.size(), [&](std::size_t j) {
+    for_each_node(&pool_, stale_.size(), obs::span::kEngineRefreshWorker, [&](std::size_t j) {
       const auto nu = static_cast<std::size_t>(stale_[j]);
       MultipoleExpansion& m = multipoles_[nu];
       // First build allocates to the node's assigned degree; later refreshes
@@ -695,7 +586,7 @@ void EvalSession::cover_p2m_basis(std::span<const std::int32_t> node_list) {
   try {
     p2m_basis_pool_.resize(pool_size);
     p2m_reservation_.absorb(std::move(growth));
-    for_each_node(pool_, fresh.size(), [&](std::size_t j) {
+    for_each_node(&pool_, fresh.size(), obs::span::kEngineRefreshWorker, [&](std::size_t j) {
       const auto nu = static_cast<std::size_t>(fresh[j]);
       const TreeNode& node = nodes[nu];
       const int deg = degrees_.degree[nu];
@@ -883,25 +774,16 @@ Expected<std::vector<EvalResult>> EvalSession::replay_columns(
       }
       if (want_bounds && c0 == 0) my_bound += plan.entry_bounds[idx];
       if (W == 1 && auditing) {
-        obs::audit::Sample s;
-        s.key = obs::audit::sample_key(config_.audit_seed, i, audit_ord);
-        s.target = i;
-        s.node = EvalPlan::node_of(e);
-        s.level = node.level;
-        s.degree = m.degree();
-        s.abs_charge = node.abs_charge;
-        s.approx = contribution;
         // Plans compiled without bound tracking carry no per-entry bounds;
         // recompute Theorem 1 with the same arguments the fresh traversal
         // uses so audits stay bitwise comparable.
-        const double r_audit = distance(x, node.center);
-        s.bound = have_entry_bounds
-                      ? plan.entry_bounds[idx]
-                      : multipole_error_bound(node.abs_charge, node.radius, r_audit,
-                                              degrees_.degree[nu]);
-        s.noise_scale =
-            r_audit > node.radius ? node.abs_charge / (r_audit - node.radius) : 0.0;
-        reservoirs[t].offer(s);
+        const double r = distance(x, node.center);
+        reservoirs[t].offer(obs::audit::make_sample(
+            config_.audit_seed, i, audit_ord, EvalPlan::node_of(e), node.level, m.degree(),
+            node.abs_charge, node.radius, r, contribution,
+            have_entry_bounds ? plan.entry_bounds[idx]
+                              : multipole_error_bound(node.abs_charge, node.radius, r,
+                                                      degrees_.degree[nu])));
       }
       ++audit_ord;
     }
@@ -1366,7 +1248,7 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
     cover_p2m_basis(plan.m2p_nodes);
     batch_m.resize(num_m2p * k);
     try {
-      for_each_node(pool_, num_m2p, [&](std::size_t j) {
+      for_each_node(&pool_, num_m2p, obs::span::kEngineRefreshWorker, [&](std::size_t j) {
         const auto nu = static_cast<std::size_t>(plan.m2p_nodes[j]);
         for (std::size_t c = 0; c < k; ++c) {
           MultipoleExpansion& m = batch_m[j * k + c];

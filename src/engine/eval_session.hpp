@@ -71,10 +71,12 @@
 /// (EvalStats::targets_served valid targets) under deadline_partial. The
 /// deadline never influences rung choice, only completion.
 ///
-/// Determinism: a replay performs the identical kernel calls in the
-/// identical order as a fresh traversal (see eval_plan.hpp), so potentials
-/// — and tracked error bounds — are bitwise-equal to BarnesHutEvaluator
-/// output at every thread count and block size.
+/// Determinism: compile records the decisions of the one alpha-MAC walk
+/// (core/traversal.hpp) that BarnesHutEvaluator applies as it goes, and a
+/// replay performs the identical kernel calls in the identical order (see
+/// eval_plan.hpp), so potentials — and tracked error bounds — are
+/// bitwise-equal to BarnesHutEvaluator output at every thread count and
+/// block size.
 ///
 /// Thread safety: the session parallelizes internally over its own pool
 /// but external calls must be serialized — compile, update_charges, and
@@ -239,7 +241,6 @@ class EvalSession {
   }
 
  private:
-  struct CompileAccumulator;
   struct ColumnView;
 
   // Entry-point bodies: each public try_* above is a thin wrapper that

@@ -81,6 +81,19 @@ struct Sample {
 [[nodiscard]] std::uint64_t sample_key(std::uint64_t seed, std::uint64_t target,
                                        std::uint64_t ordinal) noexcept;
 
+/// The sample of the `ordinal`-th accepted interaction of `target`: cluster
+/// `node` (tree `level`, absolute charge `abs_charge`, radius `radius`) at
+/// distance `r`, evaluated at `degree` to `approx` under Theorem-1 bound
+/// `bound`. The fresh traversal and the replay both capture samples here.
+[[nodiscard]] inline Sample make_sample(std::uint64_t seed, std::uint64_t target,
+                                        std::uint64_t ordinal, std::int64_t node, int level,
+                                        int degree, double abs_charge, double radius, double r,
+                                        double approx, double bound) noexcept {
+  // noise_scale: the cluster potential's scale at the target, A / (r - a).
+  return {sample_key(seed, target, ordinal), target, node, level, degree, abs_charge,
+          approx, bound, r > radius ? abs_charge / (r - radius) : 0.0};
+}
+
 /// Per-thread bounded reservoir of the K smallest-keyed samples seen.
 /// offer() is O(log K) worst case and allocation-free after set_capacity().
 class Reservoir {

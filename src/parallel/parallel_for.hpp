@@ -109,4 +109,21 @@ void parallel_for(ThreadPool& pool, std::size_t n, std::size_t block_size,
                   const std::function<void(std::size_t, std::size_t, unsigned)>& body,
                   CancellationToken* cancel = nullptr, const char* trace_name = nullptr);
 
+/// Run fn(j) for every j in [0, count): over `pool` in blocks of 8 (each
+/// worker's share traced as `trace_name`) when it has workers to spare,
+/// inline when it is null or one wide.
+template <typename Fn>
+void for_each_node(ThreadPool* pool, std::size_t count, const char* trace_name, const Fn& fn) {
+  if (pool == nullptr || pool->width() <= 1) {
+    for (std::size_t j = 0; j < count; ++j) fn(j);
+    return;
+  }
+  parallel_for(
+      *pool, count, 8,
+      [&](std::size_t b, std::size_t e, unsigned) {
+        for (std::size_t j = b; j < e; ++j) fn(j);
+      },
+      nullptr, trace_name);
+}
+
 }  // namespace treecode

@@ -57,6 +57,18 @@ TEST(DoubleLayer, TreecodeMatchesDirect) {
   EXPECT_LT(relative_error_2norm(y_direct, y_tree), 1e-4);
 }
 
+TEST(DoubleLayer, ApplyReportsAcceptedInteractions) {
+  const TriangleMesh mesh = make_gripper(12, 24);
+  const DoubleLayerOperator K(mesh, dl_options(10, 0.4));
+  const std::vector<double> x(K.cols(), 1.0);
+  std::vector<double> y(K.rows());
+  K.apply(x, y);
+  const EvalStats& stats = K.last_stats();
+  EXPECT_GT(stats.multipole_terms, 0u);
+  EXPECT_GT(stats.m2p_count, 0u);
+  EXPECT_LE(stats.min_degree_used, stats.max_degree_used);
+}
+
 TEST(DoubleLayer, SecondKindSolveReproducesInteriorField) {
   // Interior Dirichlet via (-2 pi I + K) sigma = f with f the trace of an
   // exterior point charge; W[sigma] inside must reproduce that field.

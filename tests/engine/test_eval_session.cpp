@@ -185,6 +185,13 @@ TEST(EvalSession, BudgetEnforcedConfigReplaysBitwise) {
   EXPECT_TRUE(bitwise_equal(ref.potential, replay.potential));
   EXPECT_TRUE(bitwise_equal(ref.error_bound, replay.error_bound));
   EXPECT_EQ(ref.stats.budget_refinements, replay.stats.budget_refinements);
+  EXPECT_EQ(ref.stats.budget_refinements_leaf, replay.stats.budget_refinements_leaf);
+  EXPECT_EQ(ref.stats.max_interaction_bound, replay.stats.max_interaction_bound);
+  EXPECT_EQ(ref.stats.multipole_terms, replay.stats.multipole_terms);
+  EXPECT_EQ(ref.stats.m2p_count, replay.stats.m2p_count);
+  EXPECT_EQ(ref.stats.p2p_pairs, replay.stats.p2p_pairs);
+  EXPECT_EQ(ref.stats.min_degree_used, replay.stats.min_degree_used);
+  EXPECT_EQ(ref.stats.max_degree_used, replay.stats.max_degree_used);
 }
 
 TEST(EvalSession, GradientConfigReplaysBitwise) {
