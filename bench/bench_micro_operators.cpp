@@ -50,7 +50,7 @@ void set_time_per_term(benchmark::State& state, double terms) {
 
 double terms_of_degree(int p) { return static_cast<double>((p + 1) * (p + 1)); }
 
-// P2M, M2P and the cache-cold basis apply cover DenseRange(4, 10), the
+// P2M, M2P and the hot and cache-cold basis applies cover DenseRange(4, 10), the
 // Theorem-3 degrees of the shell self-plan, so each degree's time per term
 // for the on-the-fly fill + apply sits next to the stored basis it competes
 // with; 2 and 16 bracket the range.
@@ -106,6 +106,32 @@ void BM_M2P_ApplyBasisCold(benchmark::State& state) {
   set_time_per_term(state, terms_of_degree(p));
 }
 BENCHMARK(BM_M2P_ApplyBasisCold)->DenseRange(4, 10);
+
+/// m2p_apply_basis cycling through 16 stored bases that stay in L1: the
+/// apply's own cost, as a coalesced batch pays it once per column after
+/// the first column has brought the basis into cache.
+void BM_M2P_ApplyBasis(benchmark::State& state) {
+  const Fixture f;
+  const int p = static_cast<int>(state.range(0));
+  MultipoleExpansion m(p);
+  p2m(f.center, f.pos, f.q, m);
+  const std::size_t bsize = m2p_basis_size(p);
+  constexpr std::size_t kCount = 16;
+  std::vector<double> pool(kCount * bsize);
+  std::mt19937_64 rng(2);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  for (std::size_t i = 0; i < kCount; ++i) {
+    const Vec3 point = f.center + 3.0 * normalized(Vec3{u(rng), u(rng), u(rng)});
+    m2p_basis(p, f.center, point, std::span<double>(pool).subspan(i * bsize, bsize));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m2p_apply_basis(m, pool.data() + i * bsize));
+    i = (i + 1) % kCount;
+  }
+  set_time_per_term(state, terms_of_degree(p));
+}
+BENCHMARK(BM_M2P_ApplyBasis)->DenseRange(4, 10);
 
 void BM_M2P_Grad(benchmark::State& state) {
   const Fixture f;

@@ -137,6 +137,9 @@ class _Walker:
         self.path = path
         self.facts = FileFacts(path=rel)
         self.K = self.ci.CursorKind
+        # Extent of the lambda handed to the innermost parallel call: the
+        # parallel body. Lambdas nested in it run on the same worker.
+        self.par_body = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -342,14 +345,18 @@ class _Walker:
                     local_held = local_held + (acquired,)
             return
         if kind == K.LAMBDA_EXPR:
+            outer_body = self.par_body
+            if parallel and outer_body is None:
+                self.par_body = cursor.extent
             kids = list(cursor.get_children())
             for k in kids:
                 if k.kind == K.COMPOUND_STMT:
                     self.stmt(k, fn, guarded, held, parallel, unordered,
                               cursor.extent)
+            self.par_body = outer_body
             return
         if kind == K.COMPOUND_ASSIGNMENT_OPERATOR:
-            self._accum(cursor, fn, parallel, unordered, lam_extent)
+            self._accum(cursor, fn, parallel, unordered)
             for k in cursor.get_children():
                 self.stmt(k, fn, guarded, held, parallel, unordered,
                           lam_extent)
@@ -416,12 +423,15 @@ class _Walker:
             fn.emit_lines.append(call.location.line)
 
         child_parallel = parallel or name in PARALLEL_FNS
+        outer_body = self.par_body
+        if name in PARALLEL_FNS:
+            self.par_body = None  # this call's own lambda becomes the body
         for k in call.get_children():
             self.stmt(k, fn, guarded, held, child_parallel, unordered,
                       lam_extent)
+        self.par_body = outer_body
 
-    def _accum(self, op, fn: FuncFacts, parallel: bool, unordered: bool,
-               lam_extent) -> None:
+    def _accum(self, op, fn: FuncFacts, parallel: bool, unordered: bool) -> None:
         K = self.K
         kids = list(op.get_children())
         if not kids:
@@ -439,12 +449,12 @@ class _Walker:
                 member = n.kind == K.MEMBER_REF_EXPR
                 break
         outside_parallel = False
-        if parallel and lam_extent is not None and ref is not None:
+        body = self.par_body
+        if parallel and body is not None and ref is not None:
             loc = ref.location
-            inside = (loc.file is not None and lam_extent.start.file is not None
-                      and loc.file.name == lam_extent.start.file.name
-                      and lam_extent.start.line <= loc.line
-                      <= lam_extent.end.line)
+            inside = (loc.file is not None and body.start.file is not None
+                      and loc.file.name == body.start.file.name
+                      and body.start.line <= loc.line <= body.end.line)
             outside_parallel = not inside
         fn.accums.append(AccumEvent(
             base=base, line=op.location.line,

@@ -90,7 +90,8 @@ class _Parser:
         self.fn_stack: list[FuncFacts] = []
         self.pending: _Scope | None = None   # scope to push at the next '{'
         self.pending_body_at: int = -1       # token index of that '{' (-1 = next)
-        self.parallel_ends: list[int] = []   # close-paren indices of active parallel calls
+        # Active parallel calls: (close-paren index, scope depth at the call).
+        self.parallel_ends: list[tuple[int, int]] = []
 
     # ---- small helpers -------------------------------------------------
 
@@ -347,7 +348,7 @@ class _Parser:
                 # `try`/`for`/... heading a braceless statement: drop it.
                 self.pending = None
 
-            while self.parallel_ends and i > self.parallel_ends[-1]:
+            while self.parallel_ends and i > self.parallel_ends[-1][0]:
                 self.parallel_ends.pop()
 
             if t.kind == PUNCT:
@@ -596,7 +597,11 @@ class _Parser:
             t = self.text_at(j)
             if t == "{":
                 scope = _Scope("lambda")
-                scope.parallel = bool(self.parallel_ends)
+                # The parallel body is the lambda handed to the parallel
+                # call itself, opened at the call's scope depth; a lambda
+                # nested in that body runs on the same worker.
+                scope.parallel = bool(self.parallel_ends) and \
+                    len(self.scopes) == self.parallel_ends[-1][1]
                 if params_open >= 0:
                     self.declare_params(scope, params_open)
                 self.pending = scope
@@ -721,7 +726,7 @@ class _Parser:
                 fn.emit_lines.append(t.line)
             if name in PARALLEL_FNS:
                 close = match_forward(self.toks, i + 1, "(", ")")
-                self.parallel_ends.append(close)
+                self.parallel_ends.append((close, len(self.scopes)))
 
     def _compound_assign(self, i: int) -> None:
         fn = self.cur_fn()

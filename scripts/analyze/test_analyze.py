@@ -488,6 +488,52 @@ class CrossTuLockCycleTest(unittest.TestCase):
         self.assertIn("src/fake/lock_b.cpp", msg)
 
 
+# A visitor lambda nested in the parallel body runs on the body's worker:
+# accumulating into a double declared in the body is per-worker state, while
+# accumulating into a double captured from outside the parallel call is not.
+FP_PARFOR_NESTED_LOCAL = """
+template <class F> void visit(int n, F f);
+void sweep(int n, double* out) {
+  parallel_for(0, n, [&](int i) {
+    double local = 0.0;
+    visit(i, [&](int j) {
+      local += 1.0;
+    });
+    out[i] = local;
+  });
+}
+"""
+
+FP_PARFOR_NESTED_CAPTURED = """
+template <class F> void visit(int n, F f);
+void sweep(int n) {
+  double total = 0.0;
+  parallel_for(0, n, [&](int i) {
+    visit(i, [&](int j) {
+      total += 1.0;
+    });
+  });
+  (void)total;
+}
+"""
+
+NESTED_RULE = "fp-parallel-for-accumulation"
+
+
+class NestedLambdaParallelBodyTest(unittest.TestCase):
+    """The parallel body is the lambda passed to parallel_for, not the
+    innermost lambda around the accumulation."""
+
+    def test_body_local_from_nested_lambda_is_silent(self):
+        self.assertEqual([], _token_findings(
+            {"src/fake/nested.cpp": FP_PARFOR_NESTED_LOCAL}, NESTED_RULE))
+
+    def test_captured_outer_from_nested_lambda_fires(self):
+        found = _token_findings(
+            {"src/fake/nested.cpp": FP_PARFOR_NESTED_CAPTURED}, NESTED_RULE)
+        self.assertEqual(1, len(found), found)
+
+
 class LibclangParityTest(unittest.TestCase):
     """When libclang is importable, the violating TUs must fire there too."""
 
@@ -537,6 +583,27 @@ void emit_request();
                              if not f.suppressed]
                     self.assertTrue(
                         found, f"{rule}: violation undetected by libclang")
+
+    def test_nested_lambda_under_libclang(self):
+        import frontend_clang
+        ok, detail = frontend_clang.available()
+        if not ok:
+            self.skipTest(f"libclang unavailable: {detail}")
+        with tempfile.TemporaryDirectory() as tmp:
+            prelude = os.path.join(tmp, "prelude.hpp")
+            with open(prelude, "w", encoding="utf-8") as fh:
+                fh.write(self._PRELUDE)
+            for text, expected in ((FP_PARFOR_NESTED_LOCAL, 0),
+                                   (FP_PARFOR_NESTED_CAPTURED, 1)):
+                with self.subTest(expected=expected):
+                    path = os.path.join(tmp, "src_fake_nested.cpp")
+                    body = f'#include "{prelude}"\n' + text
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(body)
+                    facts = [frontend_clang.extract(
+                        path, body, "src/fake/nested.cpp", build_dir=tmp)]
+                    found = rules_mod.run_rules(facts, {NESTED_RULE})
+                    self.assertEqual(expected, len(found), found)
 
 
 if __name__ == "__main__":

@@ -89,11 +89,13 @@ struct EvalPlan {
   /// precomputed basis (gradient configs, basis budget exhausted or zero).
   std::vector<std::uint64_t> basis_offset;
   /// Pooled m2p evaluation basis: for each covered M2P entry,
-  /// m2p_basis_size(degree) doubles (1/r plus the Y_n^m harmonics of the
-  /// target direction — see m2p_basis() in multipole/operators.hpp). m2p()
-  /// is the same fill followed by m2p_apply_basis(), so replaying these
-  /// doubles through m2p_apply_basis() is bitwise-identical while skipping
-  /// the harmonics fill.
+  /// m2p_basis_size(degree) doubles, the weighted solid harmonics
+  /// w_m r^-(n+1) conj(Y_n^m) of the target in the coefficients' re/im
+  /// order, so the first double is exactly 1/r (see m2p_basis() in
+  /// multipole/operators.hpp). m2p() is the same fill followed by
+  /// m2p_apply_basis(), a flat dot product with the coefficients, so
+  /// replaying these doubles through m2p_apply_basis() is bitwise-identical
+  /// while skipping the fill.
   /// The trade is memory ~ O(plan entries * terms), bounded by the
   /// session's basis budget; entries past the budget fall back to m2p().
   std::vector<double> basis;

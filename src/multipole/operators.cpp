@@ -117,32 +117,56 @@ KernelWorkspace& kernel_workspace() {
 
 double* basis_workspace() { return kernel_workspace().basis.data(); }
 
-/// One fill of Y_n^m (0 <= m <= n <= p) into interleaved re/im pairs at
-/// Y[2 tri_index(n, m)], conjugated when kConj (the p2m layout), from the
-/// e^{i m phi} table `e`. The recurrence walks column by column: Q_m^m
-/// advances once per column, then Q_n^m runs down the column. The
-/// compile-time and runtime instantiations below both drive these steps,
-/// so they perform the same operations in the same order.
-template <bool kConj>
+/// What a fill stores at [2k, 2k+1], k = tri_index(n, m), as a re/im pair:
+///   kHarmonics  Y_n^m (the translations and l2p);
+///   kConjugate  conj(Y_n^m) (the p2m basis);
+///   kSolid      w_m r^-(n+1) conj(Y_n^m), w_0 = 1 and w_m = 2 for m > 0
+///               (the m2p basis: the solid harmonics of the target, weighted
+///               so that m2p is their dot product with the m >= 0
+///               coefficients).
+enum class FillLayout { kHarmonics, kConjugate, kSolid };
+
+/// One fill of the (0 <= m <= n <= p) triangle in layout L from the phase
+/// table `e`, which already carries the conjugation sign and w_m. The
+/// recurrence walks column by column: Q_m^m advances once per column, then
+/// Q_n^m runs down the column. For kSolid every Q carries its r^-(n+1): the
+/// seed is 1/r, the direction terms are cos(theta)/r and sin(theta)/r, and
+/// the two-back term takes one more 1/r^2. The compile-time and runtime
+/// instantiations below both drive these steps, so they perform the same
+/// operations in the same order.
+template <FillLayout L>
 struct HarmonicsFill {
   const LegendreTable& t;
-  const Direction& d;
   const double* e;
   double* Y;
-  double qmm = 1.0;  // Q_m^m of the current column
-  double er = 1.0;   // e^{i m phi} of the current column
+  double cos_t;        // cos(theta), over r when kSolid
+  double sin_t;        // sin(theta), over r when kSolid
+  double inv_r2 = 1.0; // 1/r^2 when kSolid; a multiply by 1 is exact otherwise
+  double qmm = 1.0;    // Q_m^m of the current column
+  double er = 1.0;     // phase of the current column
   double ei = 0.0;
-  double q1 = 0.0;   // Q_{n-1}^m
-  double q2 = 0.0;   // Q_{n-2}^m
+  double q1 = 0.0;     // Q_{n-1}^m
+  double q2 = 0.0;     // Q_{n-2}^m
+
+  HarmonicsFill(const Direction& d, const double* phase, double* out) noexcept
+      : t(legendre_table()), e(phase), Y(out), cos_t(d.cos_t), sin_t(d.sin_t) {
+    if constexpr (L == FillLayout::kSolid) {
+      const double inv_r = 1.0 / d.r;
+      cos_t *= inv_r;
+      sin_t *= inv_r;
+      inv_r2 = inv_r * inv_r;
+      qmm = inv_r;
+    }
+  }
 
   [[gnu::always_inline]] void store(std::size_t k, double q) noexcept {
     Y[2 * k] = q * er;
-    Y[2 * k + 1] = kConj ? -(q * ei) : q * ei;
+    Y[2 * k + 1] = q * ei;
   }
 
   [[gnu::always_inline]] void begin_column(int m) noexcept {
     const auto um = static_cast<std::size_t>(m);
-    if (m > 0) qmm *= -d.sin_t * t.diag[um];
+    if (m > 0) qmm *= -sin_t * t.diag[um];
     er = e[2 * um];
     ei = e[2 * um + 1];
     q2 = 0.0;
@@ -152,74 +176,92 @@ struct HarmonicsFill {
 
   [[gnu::always_inline]] void step(int n, int m) noexcept {
     const std::size_t k = tri_index(n, m);
-    const double q = t.a[k] * d.cos_t * q1 - t.b[k] * q2;
+    const double q = t.a[k] * cos_t * q1 - t.b[k] * inv_r2 * q2;
     store(k, q);
     q2 = q1;
     q1 = q;
   }
 };
 
-template <bool kConj>
+template <FillLayout L>
 void fill_harmonics_loop(int p, const Direction& d, const double* e, double* Y) noexcept {
-  HarmonicsFill<kConj> f{legendre_table(), d, e, Y};
+  HarmonicsFill<L> f(d, e, Y);
   for (int m = 0; m <= p; ++m) {
     f.begin_column(m);
     for (int n = m + 1; n <= p; ++n) f.step(n, m);
   }
 }
 
-template <int kM, bool kConj, int... kN>
-[[gnu::always_inline]] inline void fill_column_unrolled(HarmonicsFill<kConj>& f,
+template <int kM, FillLayout L, int... kN>
+[[gnu::always_inline]] inline void fill_column_unrolled(HarmonicsFill<L>& f,
                                                         std::integer_sequence<int, kN...>) noexcept {
   f.begin_column(kM);
   (f.step(kM + 1 + kN, kM), ...);
 }
 
-template <int kP, bool kConj, int... kM>
-[[gnu::always_inline]] inline void fill_columns_unrolled(HarmonicsFill<kConj>& f,
+template <int kP, FillLayout L, int... kM>
+[[gnu::always_inline]] inline void fill_columns_unrolled(HarmonicsFill<L>& f,
                                                          std::integer_sequence<int, kM...>) noexcept {
   (fill_column_unrolled<kM>(f, std::make_integer_sequence<int, kP - kM>{}), ...);
 }
 
 /// The fill with every (n, m) index a compile-time constant: straight-line
 /// code with no column-end branches for the compiler to schedule across.
-template <int kP, bool kConj>
+template <int kP, FillLayout L>
 void fill_harmonics_unrolled(const Direction& d, const double* e, double* Y) noexcept {
-  HarmonicsFill<kConj> f{legendre_table(), d, e, Y};
+  HarmonicsFill<L> f(d, e, Y);
   fill_columns_unrolled<kP>(f, std::make_integer_sequence<int, kP + 1>{});
 }
 
 using FillFn = void (*)(const Direction&, const double*, double*) noexcept;
 
-template <bool kConj, int... kP>
+template <FillLayout L, int... kP>
 constexpr std::array<FillFn, sizeof...(kP)> make_fill_table(std::integer_sequence<int, kP...>) {
-  return {&fill_harmonics_unrolled<kP, kConj>...};
+  return {&fill_harmonics_unrolled<kP, L>...};
 }
 
-template <bool kConj>
+template <FillLayout L>
 constexpr auto kFillTable =
-    make_fill_table<kConj>(std::make_integer_sequence<int, kUnrolledHarmonicsDegree + 1>{});
+    make_fill_table<L>(std::make_integer_sequence<int, kUnrolledHarmonicsDegree + 1>{});
 
 /// The one harmonics fill every m2p/p2m path, translation and l2p runs:
-/// tabulate e^{i m phi} in the thread's workspace, then run the
-/// recurrence, unrolled for p <= kUnrolledHarmonicsDegree and as a loop
-/// above (measured faster end to end than the loop alone; EXPERIMENTS.md).
-template <bool kConj>
+/// tabulate the phases e^{i m phi} in the thread's workspace, conjugated
+/// and weighted as layout L stores them (negation and doubling are exact,
+/// so this costs nothing), then run the recurrence, unrolled for
+/// p <= kUnrolledHarmonicsDegree and as a loop above (measured faster end
+/// to end than the loop alone; EXPERIMENTS.md).
+template <FillLayout L>
 void fill_harmonics(int p, const Direction& d, double* Y) noexcept {
   assert(p >= 0 && p <= kMaxDegree);
+  constexpr double kSign = L == FillLayout::kHarmonics ? 1.0 : -1.0;
+  constexpr double kWeight = L == FillLayout::kSolid ? 2.0 : 1.0;
   double* e = kernel_workspace().phase.data();
   e[0] = 1.0;
-  e[1] = 0.0;
+  e[1] = kSign * 0.0;
+  double cr = 1.0;  // e^{i m phi}
+  double ci = 0.0;
   for (std::size_t m = 1; m <= static_cast<std::size_t>(p); ++m) {
-    const double* prev = e + 2 * (m - 1);
-    e[2 * m] = prev[0] * d.ex - prev[1] * d.ey;
-    e[2 * m + 1] = prev[0] * d.ey + prev[1] * d.ex;
+    const double next_r = cr * d.ex - ci * d.ey;
+    ci = cr * d.ey + ci * d.ex;
+    cr = next_r;
+    e[2 * m] = kWeight * cr;
+    e[2 * m + 1] = kSign * kWeight * ci;
   }
   if (p <= kUnrolledHarmonicsDegree) {
-    kFillTable<kConj>[static_cast<std::size_t>(p)](d, e, Y);
+    kFillTable<L>[static_cast<std::size_t>(p)](d, e, Y);
   } else {
-    fill_harmonics_loop<kConj>(p, d, e, Y);
+    fill_harmonics_loop<L>(p, d, e, Y);
   }
+}
+
+/// s[j] += c[j] * b[j] for the lanes j < count, with every lane index a
+/// compile-time constant so the partial sums stay in registers.
+template <std::size_t... kJ>
+[[gnu::always_inline]] inline void accumulate_lanes(std::array<double, sizeof...(kJ)>& s,
+                                                    const double* c, const double* b,
+                                                    std::size_t count,
+                                                    std::index_sequence<kJ...>) noexcept {
+  ((kJ < count ? void(s[kJ] += c[kJ] * b[kJ]) : void()), ...);
 }
 
 /// One particle's p2m basis: rho^0..rho^p, then conj(Y_n^m) re/im pairs.
@@ -227,7 +269,7 @@ void fill_p2m_basis(int p, const Vec3& offset, double* out) noexcept {
   const Direction d = direction(offset);
   out[0] = 1.0;
   for (int n = 1; n <= p; ++n) out[n] = out[n - 1] * d.r;
-  fill_harmonics<true>(p, d, out + p + 1);
+  fill_harmonics<FillLayout::kConjugate>(p, d, out + p + 1);
 }
 
 /// Y_n^m (0 <= m <= n <= p) of direction `d` for the translations and l2p,
@@ -235,7 +277,7 @@ void fill_p2m_basis(int p, const Vec3& offset, double* out) noexcept {
 /// a re/im pair of doubles, which is the fill's layout.
 std::span<const Complex> translation_harmonics(int p, const Direction& d) noexcept {
   Complex* Y = kernel_workspace().harmonics.data();
-  fill_harmonics<false>(p, d, reinterpret_cast<double*>(Y));
+  fill_harmonics<FillLayout::kHarmonics>(p, d, reinterpret_cast<double*>(Y));
   return {Y, tri_size(p)};
 }
 
@@ -442,15 +484,14 @@ double m2p(const MultipoleExpansion& mexp, const Vec3& center, const Vec3& point
 }
 
 std::size_t m2p_basis_size(int p) noexcept {
-  return 1 + 2 * tri_size(p);
+  return 2 * tri_size(p);
 }
 
 void m2p_basis(int p, const Vec3& center, const Vec3& point, std::span<double> out) {
   assert(out.size() >= m2p_basis_size(p));
   const Direction d = direction(point - center);
   assert(d.r > 0.0);
-  out[0] = 1.0 / d.r;
-  fill_harmonics<false>(p, d, out.data() + 1);
+  fill_harmonics<FillLayout::kSolid>(p, d, out.data());
 }
 
 const double* m2p_basis_workspace(int p, const Vec3& center, const Vec3& point) {
@@ -460,27 +501,20 @@ const double* m2p_basis_workspace(int p, const Vec3& center, const Vec3& point) 
 }
 
 double m2p_apply_basis(const MultipoleExpansion& mexp, const double* basis) noexcept {
-  const int p = mexp.degree();
-  const double inv_r = basis[0];
-  const double* Y = basis + 1;
-  double phi = 0.0;
-  double rpow = inv_r;  // 1/r^(n+1)
-  for (int n = 0; n <= p; ++n) {
-    // Each product below reproduces (coeff * Y).real() = re*re - im*im —
-    // the exact expression std::complex multiplication evaluates — on the
-    // stored Y doubles, keeping the accumulation bitwise-equal to m2p().
-    const std::size_t i0 = 2 * tri_index(n, 0);
-    const Complex c0 = mexp.coeff(n, 0);
-    double bracket = c0.real() * Y[i0] - c0.imag() * Y[i0 + 1];
-    for (int m = 1; m <= n; ++m) {
-      const std::size_t im = 2 * tri_index(n, m);
-      const Complex c = mexp.coeff(n, m);
-      bracket += 2.0 * (c.real() * Y[im] - c.imag() * Y[im + 1]);
-    }
-    phi += bracket * rpow;
-    rpow *= inv_r;
-  }
-  return phi;
+  // The coefficients are re/im pairs in tri_index order, the basis's order,
+  // and the basis already carries w_m r^-(n+1) and the conjugation, so
+  // Re sum_m M_n^m Y_n^m / r^(n+1) over |m| <= n is one flat dot product.
+  // Eight independent partial sums keep the adds off one latency chain;
+  // they are combined in a fixed order, so every caller gets the same bits.
+  constexpr std::size_t kLanes = 8;
+  constexpr auto lanes = std::make_index_sequence<kLanes>{};
+  const double* c = reinterpret_cast<const double*>(mexp.data().data());
+  const std::size_t len = m2p_basis_size(mexp.degree());
+  std::array<double, kLanes> s{};
+  std::size_t i = 0;
+  for (; i + kLanes <= len; i += kLanes) accumulate_lanes(s, c + i, basis + i, kLanes, lanes);
+  accumulate_lanes(s, c + i, basis + i, len - i, lanes);
+  return ((s[0] + s[2]) + (s[4] + s[6])) + ((s[1] + s[3]) + (s[5] + s[7]));
 }
 
 PotentialGrad m2p_grad(const MultipoleExpansion& mexp, const Vec3& center, const Vec3& point) {

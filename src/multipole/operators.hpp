@@ -80,17 +80,22 @@ double m2p(const MultipoleExpansion& m, const Vec3& center, const Vec3& point);
 // ---------------------------------------------------------------------------
 // Evaluation basis: one fill, one apply
 //
-// m2p and p2m factor into a charge-independent geometric basis (1/r or the
-// rho^n powers, and the spherical harmonics Y_n^m of the offset direction)
-// and a cheap dot product with the coefficients or charges. One trig-free
-// fill computes the basis from the Cartesian offset: cos(theta) = z/r and
-// e^{i phi} = (x + iy)/rho_xy replace acos/atan2/sin/cos, and Y_n^m comes
-// from a normalized Legendre recurrence whose coefficients sit in a static
-// table. The fill is unrolled at compile time for degrees up to
-// kUnrolledHarmonicsDegree and runs the same recurrence as a loop above.
-// m2m, m2l, l2l and l2p take their Y_n^m from the same fill, into a
-// workspace slot of their own. The gradient kernels and p2m_dipole also
-// need dY/dtheta and Y/sin(theta) and still use eval_harmonics_derivs().
+// m2p and p2m factor into a charge-independent geometric basis and a cheap
+// dot product with the coefficients or charges. For m2p the basis is the
+// target's solid-harmonic evaluation vector: w_m r^-(n+1) conj(Y_n^m), with
+// w_0 = 1 and w_m = 2 for m > 0 folding in the m < 0 half of the sum, laid
+// out as re/im pairs in tri_index order like the coefficients, so m2p is
+// one flat dot product with no per-degree loop. For p2m it is the rho^n
+// powers and conj(Y_n^m) of each source. One trig-free fill computes both
+// from the Cartesian offset: cos(theta) = z/r and e^{i phi} = (x + iy)/rho_xy
+// replace acos/atan2/sin/cos, and Y_n^m comes from a normalized Legendre
+// recurrence whose coefficients sit in a static table (the m2p layout runs
+// it with r^-(n+1) folded in). The fill is unrolled at compile time for
+// degrees up to kUnrolledHarmonicsDegree and runs the same recurrence as a
+// loop above. m2m, m2l, l2l and l2p take their Y_n^m from the same fill,
+// into a workspace slot of their own. The gradient kernels and p2m_dipole
+// also need dY/dtheta and Y/sin(theta) and still use
+// eval_harmonics_derivs().
 //
 // The on-the-fly kernels are that fill plus the apply: m2p() fills the
 // calling thread's workspace and runs m2p_apply_basis() on it, and p2m()
@@ -103,12 +108,14 @@ double m2p(const MultipoleExpansion& m, const Vec3& center, const Vec3& point);
 /// degrees (up to kMaxDegree) use the runtime loop over the same recurrence.
 inline constexpr int kUnrolledHarmonicsDegree = 16;
 
-/// Doubles needed to store the m2p basis for degree p:
-/// 1 (for 1/r) + 2 * tri_size(p) (interleaved re/im of Y_n^m).
+/// Doubles needed to store the m2p basis for degree p: 2 * tri_size(p),
+/// the re/im pairs of w_m r^-(n+1) conj(Y_n^m) at 2 * tri_index(n, m).
+/// Y_0^0 = 1, so the first double is exactly 1/r.
 [[nodiscard]] std::size_t m2p_basis_size(int p) noexcept;
 
-/// Fill `out` (size >= m2p_basis_size(p)) with the evaluation basis of
-/// `point` relative to `center`. Precondition: point != center.
+/// Fill `out` (size >= m2p_basis_size(p)) with the solid-harmonic
+/// evaluation basis of `point` relative to `center`. Precondition:
+/// point != center.
 void m2p_basis(int p, const Vec3& center, const Vec3& point, std::span<double> out);
 
 /// Fill the calling thread's workspace with the m2p basis (as m2p_basis())

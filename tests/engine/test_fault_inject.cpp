@@ -176,8 +176,14 @@ TEST_F(FaultInject, SlowWorkerTripsDeadline) {
   const std::vector<Vec3> targets = grid_targets(400, 59);
   auto plan = session.try_compile(targets);
   ASSERT_TRUE(plan.ok());
-  // Warm the multipoles so the deadline window covers only the replay sweep.
-  ASSERT_TRUE(session.try_evaluate(*plan.value()).ok());
+  // Warm the multipoles outside the deadline window, so the 5 ms covers
+  // only the armed replay sweep however busy the host is: a deadline the
+  // caller already armed takes precedence over the config's, and an hour
+  // never trips.
+  session.governor().arm_deadline(3600.0);
+  const bool warmed = session.try_evaluate(*plan.value()).ok();
+  session.governor().disarm_deadline();
+  ASSERT_TRUE(warmed);
 
   fault::arm_every(fault::Site::kSlowWorker);
   auto r = session.try_evaluate(*plan.value());

@@ -403,17 +403,26 @@ TEST(HarmonicsFill, MatchesEvalHarmonicsForEveryDegree) {
       const double r = norm(v);
       EXPECT_NEAR(m2p_out[0] * r, 1.0, 1e-14) << "p=" << p;
       double scale = 0.0;
+      for (const Complex& y : ref) scale = std::max(scale, std::abs(y));
       double m2p_err = 0.0;
       double p2m_err = 0.0;
       const double* yc = p2m_out.data() + p + 1;
       // Keeps a NaN error, which std::max would drop.
       const auto worst = [](double acc, double err) { return err <= acc ? acc : err; };
-      for (std::size_t k = 0; k < ref.size(); ++k) {
-        scale = std::max(scale, std::abs(ref[k]));
-        m2p_err = worst(m2p_err,
-                        std::abs(Complex{m2p_out[1 + 2 * k], m2p_out[2 + 2 * k]} - ref[k]));
-        p2m_err =
-            worst(p2m_err, std::abs(Complex{yc[2 * k], yc[2 * k + 1]} - std::conj(ref[k])));
+      double inv_rn = 1.0 / r;  // r^-(n+1)
+      for (int n = 0; n <= p; ++n) {
+        for (int m = 0; m <= n; ++m) {
+          const std::size_t k = tri_index(n, m);
+          // The m2p basis is the weighted solid harmonic w_m r^-(n+1)
+          // conj(Y_n^m), compared relative to its degree's scale.
+          const double w = m == 0 ? 1.0 : 2.0;
+          const Complex solid = w * inv_rn * std::conj(ref[k]);
+          m2p_err = worst(m2p_err, std::abs(Complex{m2p_out[2 * k], m2p_out[2 * k + 1]} - solid) /
+                                       (w * inv_rn));
+          p2m_err =
+              worst(p2m_err, std::abs(Complex{yc[2 * k], yc[2 * k + 1]} - std::conj(ref[k])));
+        }
+        inv_rn /= r;
       }
       EXPECT_LE(m2p_err, 1e-12 * scale) << "p=" << p << " v=" << v;
       EXPECT_LE(p2m_err, 1e-12 * scale) << "p=" << p << " v=" << v;
@@ -473,13 +482,15 @@ TEST(HarmonicsFill, TargetsAndSourcesOnTheZAxis) {
       EXPECT_NEAR(approx, direct_potential(c, point), 1e-4) << "p=" << p << " z=" << z;
       std::vector<double> basis(m2p_basis_size(p));
       m2p_basis(p, c.center, point, basis);
+      const double r = std::abs(z);
       for (int n = 0; n <= p; ++n) {
-        // Y_n^0 = P_n(+-1) = (+-1)^n; Y_n^m = 0 for m > 0.
-        const double pole = (z < 0.0 && n % 2 == 1) ? -1.0 : 1.0;
-        EXPECT_NEAR(basis[1 + 2 * tri_index(n, 0)], pole, 1e-13) << "n=" << n;
+        // Y_n^0 = P_n(+-1) = (+-1)^n; Y_n^m = 0 for m > 0. The basis holds
+        // them as solid harmonics, scaled by r^-(n+1).
+        const double solid = ((z < 0.0 && n % 2 == 1) ? -1.0 : 1.0) / std::pow(r, n + 1);
+        EXPECT_NEAR(basis[2 * tri_index(n, 0)], solid, 1e-13 * std::abs(solid)) << "n=" << n;
         for (int k = 1; k <= n; ++k) {
-          EXPECT_EQ(basis[1 + 2 * tri_index(n, k)], 0.0);
-          EXPECT_EQ(basis[2 + 2 * tri_index(n, k)], 0.0);
+          EXPECT_EQ(basis[2 * tri_index(n, k)], 0.0);
+          EXPECT_EQ(basis[2 * tri_index(n, k) + 1], 0.0);
         }
       }
     }
@@ -491,6 +502,42 @@ TEST(HarmonicsFill, TargetsAndSourcesOnTheZAxis) {
   p2m({0, 0, 0}, pos, q, m);
   const Vec3 point{1.5, 1.0, 2.0};
   EXPECT_NEAR(m2p(m, {0, 0, 0}, point), p2p(point, pos, q), 1e-8);
+}
+
+TEST(HarmonicsFill, SolidApplyMatchesBracketForm) {
+  // m2p is the dot product of the coefficients with the solid-harmonic
+  // basis. It must agree with the textbook bracket form
+  //   sum_n r^-(n+1) Re[M_n^0 Y_n^0 + 2 sum_{m>0} M_n^m Y_n^m],
+  // built here from eval_harmonics(), to rounding at every degree.
+  const Cloud c = make_cloud(53, {0.2, -0.1, 0.3}, 0.5, 40);
+  for (int p = 0; p <= kMaxDegree; ++p) {
+    MultipoleExpansion m(p);
+    p2m(c.center, c.pos, c.q, m);
+    std::vector<Complex> Y(tri_size(p));
+    for (const Vec3& v : fill_test_offsets()) {
+      const Vec3 x = c.center + 2.0 * v;
+      const double r = norm(x - c.center);
+      const double theta = std::atan2(std::hypot(v.x, v.y), v.z);
+      eval_harmonics(p, theta, std::atan2(v.y, v.x), Y);
+      double bracket_form = 0.0;
+      double magnitude = 0.0;  // sum of |terms|, the scale of the rounding
+      double inv_rn = 1.0 / r;
+      for (int n = 0; n <= p; ++n) {
+        double bracket = (m.coeff(n, 0) * Y[tri_index(n, 0)]).real();
+        double row_magnitude = std::abs(m.coeff(n, 0));
+        for (int k = 1; k <= n; ++k) {
+          bracket += 2.0 * (m.coeff(n, k) * Y[tri_index(n, k)]).real();
+          row_magnitude += 2.0 * std::abs(m.coeff(n, k)) * std::abs(Y[tri_index(n, k)]);
+        }
+        bracket_form += bracket * inv_rn;
+        magnitude += row_magnitude * inv_rn;
+        inv_rn /= r;
+      }
+      const double solid = m2p(m, c.center, x);
+      EXPECT_LE(std::abs(solid - bracket_form), 1e-13 * magnitude)
+          << "p=" << p << " v=" << v << " solid=" << solid << " bracket=" << bracket_form;
+    }
+  }
 }
 
 TEST(HarmonicsFill, KernelsEqualBasisApplyBitwiseAcrossDispatch) {
